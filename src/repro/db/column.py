@@ -74,12 +74,8 @@ class Column:
             return self._region
         name = region_name or f"column:{self.name}"
         region = space.allocate(name, max(self.nbytes, 1), align=64)
-        memory = space.memory
-        width = self.dtype.nbytes
-        addr = region.base
-        for value in self.values:
-            memory.write(addr, width, int(value))
-            addr += width
+        space.memory.write_field(region.base, self.dtype.nbytes, len(self.values),
+                                 self.values)
         self._region = region
         self._space = space
         return region

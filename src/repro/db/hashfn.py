@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
+import numpy as np
+
 from ..errors import InvariantViolation
 
 MASK64 = (1 << 64) - 1
@@ -77,6 +79,33 @@ class HashStep:
             return (h << self.amount) & MASK64
         raise InvariantViolation(f"unhandled hash step kind {self.kind!r}")
 
+    def apply_many(self, h: np.ndarray) -> None:
+        """:meth:`apply` on every element of a uint64 array, in place
+        (numpy's uint64 arithmetic wraps exactly like the ``& MASK64``)."""
+        amount = np.uint64(self.amount)
+        const = np.uint64(self.const & MASK64)
+        kind = self.kind
+        if kind == "xor_shl":
+            h ^= h << amount
+        elif kind == "xor_shr":
+            h ^= h >> amount
+        elif kind == "add_shl":
+            h += h << amount
+        elif kind == "sub_shl":
+            np.subtract(h << amount, h, out=h)
+        elif kind == "and_const":
+            h &= const
+        elif kind == "xor_const":
+            h ^= const
+        elif kind == "add_const":
+            h += const
+        elif kind == "shr":
+            h >>= amount
+        elif kind == "shl":
+            h <<= amount
+        else:
+            raise InvariantViolation(f"unhandled hash step kind {kind!r}")
+
 
 @dataclass(frozen=True)
 class HashSpec:
@@ -100,6 +129,17 @@ class HashSpec:
         if num_buckets & (num_buckets - 1):
             raise ValueError("bucket count must be a power of two")
         return self(key) & (num_buckets - 1)
+
+    def bucket_of_many(self, keys: np.ndarray, num_buckets: int) -> np.ndarray:
+        """:meth:`bucket_of` for an integer array of keys (negative keys
+        wrap to 64 bits, as ``key & MASK64`` does); returns uint64."""
+        if num_buckets & (num_buckets - 1):
+            raise ValueError("bucket count must be a power of two")
+        h = np.asarray(keys).astype(np.uint64)
+        for step in self.steps:
+            step.apply_many(h)
+        h &= np.uint64(num_buckets - 1)
+        return h
 
     @property
     def compute_cycles(self) -> int:

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..errors import InvariantViolation, PlanError
 from ..mem.layout import AddressSpace, Region
 from ..mem.physmem import NULL_PTR
@@ -150,12 +152,12 @@ class HashIndex:
 
     def _initialize_headers(self) -> None:
         layout = self.layout
-        sentinel = layout.empty_sentinel
-        for bucket in range(self.num_buckets):
-            addr = self.bucket_addr(bucket)
-            self.memory.write(addr + layout.key_offset, layout.key_slot_bytes,
-                              sentinel)
-            self.memory.write_u64(addr + layout.next_offset, NULL_PTR)
+        base = self.buckets.base
+        self.memory.write_field(base + layout.key_offset, layout.key_slot_bytes,
+                                self.num_buckets, layout.empty_sentinel,
+                                stride=layout.stride)
+        self.memory.write_field(base + layout.next_offset, 8, self.num_buckets,
+                                NULL_PTR, stride=layout.stride)
 
     # ------------------------------------------------------------------
     # Build
@@ -211,11 +213,136 @@ class HashIndex:
         self.memory.write_u64(addr + layout.next_offset, next_ptr)
 
     def build(self, keys: Sequence[int], payloads: Sequence[int]) -> None:
-        """Bulk insert (Step 1 of the paper's Figure 1)."""
+        """Bulk insert (Step 1 of the paper's Figure 1).
+
+        The array twin of calling :meth:`insert` on each pair in order: the
+        same memory image, node allocation order and counters.  Keys are
+        grouped by bucket with a stable sort.  The first key of a bucket
+        whose header is empty fills the header; every later key takes the
+        next overflow node in insertion order, and a bucket's nodes are
+        linked newest-first (the header points at the newest, each node at
+        the one inserted before it).  The first entry :meth:`insert` would
+        reject, and everything after it, goes through :meth:`insert`
+        itself, so a failing build raises the same error from the same
+        state.
+        """
         if len(keys) != len(payloads):
             raise ValueError("keys and payloads must have equal length")
-        for key, payload in zip(keys, payloads):
+        done = 0
+        key_array, payload_array = np.asarray(keys), np.asarray(payloads)
+        # Python ints past int64 convert to float or object: no array path.
+        if key_array.dtype.kind in "iu" and payload_array.dtype.kind in "iu":
+            done = self._bulk_insert(
+                key_array, payload_array,
+                self._accepted_prefix(key_array, payload_array))
+        for key, payload in zip(keys[done:], payloads[done:]):
             self.insert(int(key), int(payload))
+
+    def _accepted_prefix(self, keys: np.ndarray, payloads: np.ndarray) -> int:
+        """How many leading entries pass :meth:`insert`'s key checks."""
+        layout = self.layout
+        if layout.indirect:
+            column = self.key_column
+            if not column.is_materialized:
+                return 0
+            in_range = (payloads >= 0) & (payloads < len(column))
+            stored = self.memory.read_field(column.region.base, layout.key_bytes,
+                                            len(column), rows=payloads[in_range])
+            # Compare as uint64 (mixed signedness would go through float),
+            # after ruling out negative keys, which no stored key equals.
+            rejected = ~in_range | (keys < 0)
+            rejected[in_range] |= stored != keys[in_range].astype(np.uint64)
+        else:
+            rejected = keys == layout.empty_sentinel
+        hits = np.flatnonzero(rejected)
+        return int(hits[0]) if len(hits) else len(keys)
+
+    def _bulk_insert(self, keys: np.ndarray, payloads: np.ndarray,
+                     count: int) -> int:
+        """Insert the first ``count`` entries (all past the key checks), up
+        to the first that finds the node heap exhausted; returns how many
+        went in.  Full-length temporaries are dropped early: a
+        million-key build must not raise the run's peak memory."""
+        if count == 0:
+            return 0
+        keys, payloads = keys[:count], payloads[:count]
+        layout, memory, stride = self.layout, self.memory, self.layout.stride
+        headers, num_buckets = self.buckets.base, self.num_buckets
+        bucket = self.hash_spec.bucket_of_many(keys, num_buckets)
+        order = np.argsort(bucket, kind="stable")
+        bucket = bucket[order]
+        # Sorted position -> first entry of its bucket (one past the end
+        # counts as a head, so head[i + 1] marks a bucket's last entry).
+        head = np.empty(count + 1, dtype=bool)
+        head[0] = head[count] = True
+        np.not_equal(bucket[1:], bucket[:-1], out=head[1:count])
+        heads = np.flatnonzero(head[:count])
+        touched = bucket[heads]
+        fills = memory.read_field(headers + layout.key_offset,
+                                  layout.key_slot_bytes, num_buckets,
+                                  stride=stride, rows=touched) \
+            == layout.empty_sentinel
+        old_next = memory.read_field(headers + layout.next_offset, 8,
+                                     num_buckets, stride=stride, rows=touched)
+        spill = np.ones(count, dtype=bool)
+        spill[heads[fills]] = False
+        spilled = np.flatnonzero(spill)  # entries taking a node, sorted order
+        rows = order[spilled]
+        room = (self.nodes.end - self._next_node) // stride
+        if len(rows) > room:
+            return self._bulk_insert(keys, payloads,
+                                     int(np.partition(rows, room)[room]))
+
+        slots = payloads if layout.indirect else keys
+        fill_rows = order[heads[fills]]
+        del order
+        memory.write_field(headers + layout.key_offset, layout.key_slot_bytes,
+                           num_buckets, slots[fill_rows], stride=stride,
+                           rows=touched[fills])
+        if not layout.indirect:
+            memory.write_field(headers + layout.payload_offset,
+                               layout.payload_bytes, num_buckets,
+                               payloads[fill_rows], stride=stride,
+                               rows=touched[fills])
+        del fill_rows, touched
+
+        # Nodes go out in insertion order.  A bucket's spilled entries sit
+        # together in sorted order, oldest first, so each links to the one
+        # before it, except a bucket's first, which inherits the header's
+        # old chain; the header then points at the bucket's newest node.
+        by_row = np.argsort(rows)
+        node_rows = rows[by_row]
+        rank = np.empty_like(by_row)  # node of each spilled entry
+        rank[by_row] = np.arange(len(by_row))
+        del rows, by_row
+        addrs = rank.astype(np.uint64)
+        addrs *= np.uint64(stride)
+        addrs += np.uint64(self._next_node)
+        newest = head[spilled + 1]
+        memory.write_field(headers + layout.next_offset, 8, num_buckets,
+                           addrs[newest], stride=stride,
+                           rows=bucket[spilled[newest]])
+        del bucket
+        unchained = np.flatnonzero(head[spilled] | ~spill[spilled - 1])
+        links = np.empty(len(spilled), dtype=np.uint64)
+        links[rank[1:]] = addrs[:-1]
+        links[rank[unchained]] = old_next[
+            np.searchsorted(heads, spilled[unchained], side="right") - 1]
+        del addrs
+
+        base = self._next_node
+        memory.write_field(base + layout.key_offset, layout.key_slot_bytes,
+                           len(links), slots[node_rows], stride=stride)
+        if not layout.indirect:
+            memory.write_field(base + layout.payload_offset,
+                               layout.payload_bytes, len(links),
+                               payloads[node_rows], stride=stride)
+        memory.write_field(base + layout.next_offset, 8, len(links), links,
+                           stride=stride)
+        self._next_node += len(links) * stride
+        self._overflow_nodes += len(links)
+        self.num_keys += count
+        return count
 
     # ------------------------------------------------------------------
     # Probe (the functional reference for Listing 1 / Step 2 of Figure 1)

@@ -97,6 +97,39 @@ class CacheArray:
         entries[block] = tick
         return victim
 
+    def warm_blocks(self, first: int, count: int) -> None:
+        """Insert blocks ``first .. first + count - 1``, in order.
+
+        True LRU keeps the ``associativity`` most recently touched blocks
+        of a set, so a range of at least ``num_sets * associativity``
+        blocks leaves every set holding exactly its last ``ways`` range
+        blocks, whatever it held before.  Such a range is installed in
+        closed form: only the surviving blocks, with the ticks the insert
+        loop gives them (block ``b`` gets ``tick + 1 + b - first``), and
+        ``_tick`` advances by ``count``.  Shorter ranges go block by block,
+        which costs no more than the loop it replaces.
+        """
+        num_sets = self.num_sets
+        capacity = num_sets * self.associativity
+        if count < capacity:
+            insert = self.insert
+            for block in range(first, first + count):
+                insert(block)
+            return
+        end = first + count
+        oldest = end - capacity
+        offset = self._tick + 1 - first
+        self._tick += count
+        # One int object per block, shared by its set and the entry map
+        # (as the insert loop leaves them).
+        blocks = list(range(oldest, end))
+        entries, sets = self._entries, self._sets
+        entries.clear()
+        entries.update(zip(blocks, range(oldest + offset, end + offset)))
+        sets.clear()
+        sets.update((block % num_sets, set(blocks[i::num_sets]))
+                    for i, block in enumerate(blocks[:num_sets]))
+
     def invalidate(self, block: int) -> None:
         """Drop a block if resident."""
         if self._entries.pop(block, None) is not None:

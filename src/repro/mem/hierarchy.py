@@ -33,6 +33,33 @@ from .stats import MemoryStats
 from .tlb import Tlb
 
 
+def warm_levels(level: str, l1d, llc) -> tuple:
+    """The cache levels a warm-up at ``level`` installs blocks in: the L1
+    level fills the L1 and the shared cache behind it, ``"llc"`` only the
+    shared cache (``llc=None``: the path has none)."""
+    shared = () if llc is None else (llc,)
+    if level in ("l1", "l1d"):
+        return (l1d,) + shared
+    if level == "llc":
+        return shared
+    raise ValueError(f"unknown warm level {level!r}")
+
+
+def warm_span(tlb, levels, base: int, size: int, block_bytes: int) -> None:
+    """Functionally warm every ``block_bytes`` block of ``[base,
+    base+size)`` into ``tlb`` and each cache level, with the state a
+    block-by-block warm-up in address order leaves; an empty or negative
+    range warms nothing."""
+    if size <= 0:
+        return
+    block_bits = block_bytes.bit_length() - 1
+    first = base >> block_bits
+    count = ((base + size - 1) >> block_bits) - first + 1
+    tlb.warm_blocks(first, count, block_bits)
+    for cache in levels:
+        cache.array.warm_blocks(first, count)
+
+
 @dataclass(frozen=True)
 class AccessResult:
     """Timing outcome of one memory access."""
@@ -133,23 +160,12 @@ class MemoryHierarchy:
 
     def warm_block(self, addr: int, level: str = "llc") -> None:
         """Install the block (and its translation) with no timing effect."""
-        block = addr >> self.l1d.array.block_bits
-        self.tlb.warm(addr)
-        if level in ("l1", "l1d"):
-            self.l1d.warm(block)
-            self.llc.warm(block)
-        elif level == "llc":
-            self.llc.warm(block)
-        else:
-            raise ValueError(f"unknown warm level {level!r}")
+        self.warm_range(addr, 1, level)
 
     def warm_range(self, base: int, size: int, level: str = "llc") -> None:
         """Warm every block of ``[base, base+size)``."""
-        block_bytes = self.cfg.l1d.block_bytes
-        addr = base - (base % block_bytes)
-        while addr < base + size:
-            self.warm_block(addr, level)
-            addr += block_bytes
+        warm_span(self.tlb, warm_levels(level, self.l1d, self.llc),
+                  base, size, self.cfg.l1d.block_bytes)
 
     # ------------------------------------------------------------------
     # Observability

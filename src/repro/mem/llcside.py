@@ -18,7 +18,7 @@ from __future__ import annotations
 from ..config import CacheConfig, SystemConfig, TlbConfig
 from .cache import CacheLevel
 from .dram import MemoryControllers
-from .hierarchy import AccessResult
+from .hierarchy import AccessResult, warm_levels, warm_span
 from .stats import MemoryStats
 from .tlb import Tlb
 
@@ -106,23 +106,12 @@ class LlcSideMemory:
 
     def warm_block(self, addr: int, level: str = "llc") -> None:
         """Install one block (and translation) with no timing effect."""
-        block = self.l1d.block_of(addr)
-        self.tlb.warm(addr)
-        if level in ("l1", "l1d"):
-            self.l1d.warm(block)
-            self.llc.warm(block)
-        elif level == "llc":
-            self.llc.warm(block)
-        else:
-            raise ValueError(f"unknown warm level {level!r}")
+        self.warm_range(addr, 1, level)
 
     def warm_range(self, base: int, size: int, level: str = "llc") -> None:
         """Warm every block of a byte range."""
-        block_bytes = self.cfg.l1d.block_bytes
-        addr = base - (base % block_bytes)
-        while addr < base + size:
-            self.warm_block(addr, level)
-            addr += block_bytes
+        warm_span(self.tlb, warm_levels(level, self.l1d, self.llc),
+                  base, size, self.cfg.l1d.block_bytes)
 
     # -- observability -----------------------------------------------------
 

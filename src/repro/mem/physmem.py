@@ -13,6 +13,10 @@ Address 0 is reserved as the NULL pointer; the first mapped byte is at
 
 from __future__ import annotations
 
+from typing import Optional
+
+import numpy as np
+
 from ..errors import AlignmentError, SegmentationFault
 
 NULL_PTR = 0
@@ -94,6 +98,65 @@ class PhysicalMemory:
         offset = self._offset(addr, size)
         self._store[offset:offset + size] = (value & ((1 << (8 * size)) - 1)) \
             .to_bytes(size, "little")
+
+    def _field(self, addr: int, width: int, count: int,
+                stride: Optional[int]) -> np.ndarray:
+        """A writable strided view of ``count`` ``width``-byte fields at
+        ``addr``, ``addr + stride``, ... (bounds- and alignment-checked
+        like :meth:`read`).
+
+        The view borrows the store's memory without pinning it, so growing
+        the store (:meth:`sbrk`) would leave it dangling: callers drop it
+        before returning, even when they raise.
+        """
+        stride = width if stride is None else stride
+        if count < 0 or stride < width:
+            raise ValueError(
+                f"bad field geometry: {count} x {width}B every {stride}B")
+        if stride % width != 0:
+            raise AlignmentError(
+                f"{width}-byte fields every {stride} bytes are unaligned")
+        if count == 0:
+            return np.empty(0, dtype=f"<u{width}")
+        offset = self._offset(addr, width)
+        last = (count - 1) * stride
+        self._offset(addr + last, width)
+        return np.ndarray(shape=(count,), dtype=f"<u{width}",
+                          buffer=self._store, offset=offset,
+                          strides=(stride,))
+
+    def read_field(self, addr: int, width: int, count: int, *,
+                   stride: Optional[int] = None,
+                   rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """Vector :meth:`read`: the ``width``-byte values at ``addr + i *
+        stride`` for every ``i`` in ``rows`` (default ``range(count)``),
+        as a fresh array.  ``count`` bounds the records ``rows`` may name.
+        """
+        view = self._field(addr, width, count, stride)
+        try:
+            return view.copy() if rows is None else view[rows]
+        finally:
+            del view
+
+    def write_field(self, addr: int, width: int, count: int, values, *,
+                    stride: Optional[int] = None,
+                    rows: Optional[np.ndarray] = None) -> None:
+        """Vector :meth:`write`, straight into the store with no staging
+        copy: ``values`` (an array, or one value for every record)
+        truncated to ``width`` bytes at ``addr + i * stride`` for every
+        ``i`` in ``rows`` (default ``range(count)``).  Bytes between the
+        fields are left untouched.
+        """
+        if isinstance(values, int):
+            values &= (1 << (8 * width)) - 1
+        view = self._field(addr, width, count, stride)
+        try:
+            if rows is None:
+                view[:] = values
+            else:
+                view[rows] = values
+        finally:
+            del view
 
     # Sized helpers keep call sites readable.
     def read_u8(self, addr: int) -> int:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from ..config import CacheConfig, SystemConfig, TlbConfig
 from .cache import CacheLevel
 from .dram import DramBankPorts
-from .hierarchy import AccessResult
+from .hierarchy import AccessResult, warm_levels, warm_span
 from .stats import MemoryStats
 from .tlb import Tlb
 
@@ -111,19 +111,12 @@ class PimBankMemory:
         bank array, so there is no larger cache to pre-fill — the paper's
         warmed-checkpoint discipline degenerates to warm translations.
         """
-        self.tlb.warm(addr)
-        if level in ("l1", "l1d"):
-            self.l1d.warm(self.l1d.block_of(addr))
-        elif level != "llc":
-            raise ValueError(f"unknown warm level {level!r}")
+        self.warm_range(addr, 1, level)
 
     def warm_range(self, base: int, size: int, level: str = "llc") -> None:
         """Warm every block of a byte range."""
-        block_bytes = PIM_BUFFER.block_bytes
-        addr = base - (base % block_bytes)
-        while addr < base + size:
-            self.warm_block(addr, level)
-            addr += block_bytes
+        warm_span(self.tlb, warm_levels(level, self.l1d, None),
+                  base, size, PIM_BUFFER.block_bytes)
 
     # -- observability -----------------------------------------------------
 

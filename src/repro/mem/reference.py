@@ -85,6 +85,11 @@ class ReferenceCacheArray:
         recency.append(block)
         return victim
 
+    def warm_blocks(self, first: int, count: int) -> None:
+        """Insert ``count`` consecutive blocks from ``first``, one by one."""
+        for block in range(first, first + count):
+            self.insert(block)
+
     def invalidate(self, block: int) -> None:
         """Drop a block if resident."""
         recency = self._set_for(block)

@@ -13,6 +13,7 @@ reproduces without simulating the radix walk itself.
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, Tuple
 
 from ..config import TlbConfig
@@ -98,6 +99,38 @@ class Tlb:
     def warm(self, addr: int) -> None:
         """Install the page translation with no timing effect."""
         self._insert(self.page_of(addr))
+
+    def warm_blocks(self, first: int, count: int, block_bits: int) -> None:
+        """:meth:`warm` the address of each of ``count`` consecutive
+        ``2**block_bits``-byte blocks from block ``first``, in closed form.
+
+        The table keeps its ``entries`` most recently touched pages, so
+        only the range's last ``entries`` pages are installed, each with
+        the tick of its last block in the range (exactly what the
+        per-block loop assigns), merged with the newest older entries if
+        room is left; ``_tick`` advances by ``count``.
+        """
+        if count <= 0:
+            return
+        entries, capacity = self._entries, self.cfg.entries
+        page_bits = self._page_bits
+        offset = self._tick + 1 - first
+        fresh = {}
+        block = first + count - 1
+        while block >= first and len(fresh) < capacity:
+            page = (block << block_bits) >> page_bits
+            fresh[page] = block + offset
+            # Step to the last block of the previous page.
+            block = ((page << page_bits) >> block_bits) - 1
+        # The fresh ticks are the newest, so the oldest entries over
+        # capacity are exactly the ones the loop would have evicted.
+        entries.update(fresh)
+        excess = len(entries) - capacity
+        if excess > 0:
+            for victim in heapq.nsmallest(excess, entries,
+                                          key=entries.__getitem__):
+                del entries[victim]
+        self._tick += count
 
     def register_into(self, registry, prefix: str) -> None:
         """Publish TLB counters and page-walk occupancy under ``prefix``."""

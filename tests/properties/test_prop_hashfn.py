@@ -5,6 +5,7 @@ must equal what the Widx dispatcher's fused-instruction code computes —
 this is what guarantees software and accelerator probe the same bucket.
 """
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.db.hashfn import (ALL_HASHES, HashSpec, HashStep, MASK64)
@@ -57,3 +58,17 @@ def test_every_spec_compiles_to_widx_code(steps):
     assert len(lines) == len(steps)  # one fused instruction per step
     const_steps = [s for s in steps if s.kind.endswith("_const")]
     assert len(constants) == len(const_steps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(keys=st.lists(any_key, min_size=1, max_size=40),
+       steps=st.lists(st.one_of(step_strategy, st.builds(
+           HashStep, st.just("sub_shl"), st.integers(1, 63))),
+           min_size=1, max_size=8),
+       bucket_bits=st.integers(min_value=0, max_value=40))
+def test_vectorized_buckets_equal_scalar(keys, steps, bucket_bits):
+    """``bucket_of_many`` wraps at 64 bits exactly like the scalar path."""
+    spec = HashSpec("random", tuple(steps))
+    buckets = 1 << bucket_bits
+    got = spec.bucket_of_many(np.array(keys, dtype=np.uint64), buckets)
+    assert got.tolist() == [spec.bucket_of(key, buckets) for key in keys]
