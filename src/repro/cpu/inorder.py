@@ -21,7 +21,11 @@ from typing import Iterable, List
 from ..config import CoreConfig
 from ..mem.hierarchy import MemoryHierarchy
 from ..obs import Counter
-from .uops import Uop, UopKind
+from .uops import Uop, UopKind, dep_error
+
+_LOAD = UopKind.LOAD
+_STORE = UopKind.STORE
+_BRANCH = UopKind.BRANCH
 
 
 class InOrderCore:
@@ -54,75 +58,122 @@ class InOrderCore:
         registry.register(f"{prefix}.mem_stall_cycles", self.mem_stall_cycles)
         registry.register(f"{prefix}.tlb_stall_cycles", self.tlb_stall_cycles)
 
-    def _issue_slot(self) -> float:
-        if self._issued_this_cycle >= self.config.issue_width:
-            self._issue_time += 1.0
-            self._issued_this_cycle = 0
-        self._issued_this_cycle += 1
-        return self._issue_time
-
     def execute(self, uops: Iterable[Uop]) -> None:
-        """Execute a stream of uops (may be called repeatedly)."""
-        for uop in uops:
-            issue = self._issue_slot()
-            ready = issue
-            # In-order issue stalls until producers complete.
-            for dep in uop.deps:
-                if 0 <= dep < len(self._all_done):
-                    done = self._all_done[dep]
-                    if done > ready:
-                        ready = done
-            if ready > self._issue_time:
-                # The pipeline stalled; later uops cannot issue earlier.
-                self._issue_time = ready
-                self._issued_this_cycle = 1
-            if uop.kind in (UopKind.LOAD, UopKind.STORE):
-                # Only one of the two issue slots handles memory ops.
-                if ready <= self._last_mem_issue:
-                    ready = self._last_mem_issue + 1.0
-                    if ready > self._issue_time:
-                        self._issue_time = ready
-                        self._issued_this_cycle = 1
-                self._last_mem_issue = ready
-            if uop.kind is UopKind.LOAD:
-                start = ready
-                # Single outstanding miss: a load that misses the L1 waits
-                # for the previous miss to complete.  We conservatively
-                # apply the gate before knowing hit/miss only when the block
-                # is not L1-resident.
-                block = self.memory.l1d.block_of(uop.addr)
-                if not self.memory.l1d.array.present(block):
-                    start = max(start, self._last_miss_done)
-                result = self.memory.load(uop.addr, start)
-                done = result.complete + self.load_use_penalty
-                if result.tlb_stall > 0:
-                    # Software TLB-miss trap runs on the core (see ooo.py).
-                    done += self.memory.cfg.tlb.trap_cycles
-                    self._issue_time = max(self._issue_time, done)
-                    self._issued_this_cycle = 0
-                if result.level != "L1":
-                    # A8-style blocking miss: the pipeline stalls until the
-                    # fill returns; no hit-under-miss, no miss-under-miss.
-                    self._last_miss_done = done
-                    self._issue_time = max(self._issue_time, done)
-                    self._issued_this_cycle = 0
-                self.loads_issued += 1
-                self.mem_stall_cycles += max(0.0, done - ready - 1.0)
-                self.tlb_stall_cycles += result.tlb_stall
-            elif uop.kind is UopKind.STORE:
-                self.memory.store(uop.addr, ready)
-                done = ready + 1.0
-            else:
-                done = ready + uop.latency
-            if uop.kind is UopKind.BRANCH and uop.mispredict:
-                stall_until = done + self.mispredict_penalty
-                if stall_until > self._issue_time:
-                    self._issue_time = stall_until
-                    self._issued_this_cycle = 0
-            self._all_done.append(done)
-            if done > self._completion:
-                self._completion = done
-            self.uops_executed += 1
+        """Execute a stream of uops (may be called repeatedly).
+
+        Same local-state hot loop as
+        :meth:`~repro.cpu.ooo.OutOfOrderCore.execute`: state and counters
+        live in locals and are written back in a ``finally``;
+        :class:`~repro.cpu.reference.ReferenceInOrderCore` is the
+        uop-by-uop twin.
+        """
+        all_done = self._all_done
+        append_done = all_done.append
+        memory = self.memory
+        load = memory.load
+        store = memory.store
+        l1_array = memory.l1d.array
+        block_bits = l1_array.block_bits
+        l1_present = l1_array.present
+        trap_cycles = memory.cfg.tlb.trap_cycles
+        width = self.config.issue_width
+        penalty = self.mispredict_penalty
+        load_use = self.load_use_penalty
+        issue = self._issue_time
+        slots = self._issued_this_cycle
+        last_mem_issue = self._last_mem_issue
+        last_miss_done = self._last_miss_done
+        completion = self._completion
+        position = len(all_done)
+        uops_executed = self.uops_executed.value
+        loads_issued = self.loads_issued.value
+        mem_stall = self.mem_stall_cycles.value
+        tlb_stall = self.tlb_stall_cycles.value
+        try:
+            for uop in uops:
+                if slots >= width:
+                    issue += 1.0
+                    slots = 0
+                slots += 1
+                ready = issue
+                # In-order issue stalls until producers complete.
+                for dep in uop.deps:
+                    if 0 <= dep < position:
+                        done = all_done[dep]
+                        if done > ready:
+                            ready = done
+                    else:
+                        raise dep_error(position, dep)
+                if ready > issue:
+                    # The pipeline stalled; later uops cannot issue earlier.
+                    issue = ready
+                    slots = 1
+                kind = uop.kind
+                if kind is _LOAD or kind is _STORE:
+                    # Only one of the two issue slots handles memory ops.
+                    if ready <= last_mem_issue:
+                        ready = last_mem_issue + 1.0
+                        if ready > issue:
+                            issue = ready
+                            slots = 1
+                    last_mem_issue = ready
+                    if kind is _LOAD:
+                        start = ready
+                        # Single outstanding miss: a load that misses the
+                        # L1 waits for the previous miss to complete.  We
+                        # conservatively apply the gate before knowing
+                        # hit/miss only when the block is not L1-resident.
+                        if (not l1_present(uop.addr >> block_bits)
+                                and last_miss_done > start):
+                            start = last_miss_done
+                        result = load(uop.addr, start)
+                        done = result.complete + load_use
+                        translation = result.tlb_stall
+                        if translation > 0:
+                            # Software TLB-miss trap runs on the core (see
+                            # ooo.py).
+                            done += trap_cycles
+                            if done > issue:
+                                issue = done
+                            slots = 0
+                            tlb_stall += translation
+                        if result.level != "L1":
+                            # A8-style blocking miss: the pipeline stalls
+                            # until the fill returns; no hit-under-miss, no
+                            # miss-under-miss.
+                            last_miss_done = done
+                            if done > issue:
+                                issue = done
+                            slots = 0
+                        loads_issued += 1
+                        waited = done - ready - 1.0
+                        if waited > 0.0:
+                            mem_stall += waited
+                    else:
+                        store(uop.addr, ready)
+                        done = ready + 1.0
+                else:
+                    done = ready + uop.latency
+                    if uop.mispredict and kind is _BRANCH:
+                        refill = done + penalty
+                        if refill > issue:
+                            issue = refill
+                            slots = 0
+                append_done(done)
+                if done > completion:
+                    completion = done
+                position += 1
+                uops_executed += 1
+        finally:
+            self._issue_time = issue
+            self._issued_this_cycle = slots
+            self._last_mem_issue = last_mem_issue
+            self._last_miss_done = last_miss_done
+            self._completion = completion
+            self.uops_executed.value = uops_executed
+            self.loads_issued.value = loads_issued
+            self.mem_stall_cycles.value = mem_stall
+            self.tlb_stall_cycles.value = tlb_stall
 
     @property
     def completion_time(self) -> float:

@@ -18,13 +18,16 @@ in-order on indexing) without simulating rename/issue queues.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Iterable, List
+from typing import Iterable, List
 
 from ..config import CoreConfig
 from ..mem.hierarchy import MemoryHierarchy
 from ..obs import Counter
-from .uops import Uop, UopKind
+from .uops import Uop, UopKind, dep_error
+
+_LOAD = UopKind.LOAD
+_STORE = UopKind.STORE
+_BRANCH = UopKind.BRANCH
 
 
 class OutOfOrderCore:
@@ -37,15 +40,11 @@ class OutOfOrderCore:
         self.config = config
         self.memory = memory
         self.mispredict_penalty = mispredict_penalty
-        self._done: Deque[float] = deque(maxlen=config.rob_entries)
-        self._done_positions: Deque[int] = deque(maxlen=config.rob_entries)
         self._all_done: List[float] = []   # completion time per stream position
         self._horizons: List[float] = []   # running max of completion times
-        self._position = 0
         self._dispatch_time = 0.0
         self._dispatched_this_cycle = 0
         self._frontend_stall_until = 0.0
-        self._retire_horizon = 0.0
         self.uops_executed = Counter()
         self.loads_issued = Counter()
         self.mem_stall_cycles = Counter(0.0)
@@ -62,77 +61,107 @@ class OutOfOrderCore:
         registry.register(f"{prefix}.mem_stall_cycles", self.mem_stall_cycles)
         registry.register(f"{prefix}.tlb_stall_cycles", self.tlb_stall_cycles)
 
-    def _dispatch_slot(self) -> float:
-        """Advance the front end by one dispatch slot; returns its time."""
-        if self._dispatch_time < self._frontend_stall_until:
-            self._dispatch_time = self._frontend_stall_until
-            self._dispatched_this_cycle = 0
-        if self._dispatched_this_cycle >= self.config.issue_width:
-            self._dispatch_time += 1.0
-            self._dispatched_this_cycle = 0
-        self._dispatched_this_cycle += 1
-        return self._dispatch_time
-
-    def _rob_gate(self, dispatch: float) -> float:
-        """Dispatch cannot pass retirement of the uop ROB-size earlier."""
-        if len(self._all_done) >= self.config.rob_entries:
-            oldest = self._all_done[len(self._all_done) - self.config.rob_entries]
-            # In-order retirement: the oldest entry retires no earlier than
-            # every older uop's completion (tracked via a running horizon).
-            gate = max(oldest, self._retire_horizon_at(
-                len(self._all_done) - self.config.rob_entries))
-            if gate > dispatch:
-                self._dispatch_time = gate
-                self._dispatched_this_cycle = 1
-                return gate
-        return dispatch
-
-    def _retire_horizon_at(self, position: int) -> float:
-        # The running max of completion times up to `position` approximates
-        # the in-order retire time of that entry.  We maintain it lazily.
-        return self._horizons[position]
-
     def execute(self, uops: Iterable[Uop]) -> None:
-        """Execute a stream of uops (may be called repeatedly)."""
-        horizon = self._horizons[-1] if self._horizons else 0.0
-        for uop in uops:
-            dispatch = self._dispatch_slot()
-            dispatch = self._rob_gate(dispatch)
-            ready = dispatch
-            for dep in uop.deps:
-                if 0 <= dep < len(self._all_done):
-                    done = self._all_done[dep]
-                    if done > ready:
-                        ready = done
-            if uop.kind is UopKind.LOAD:
-                result = self.memory.load(uop.addr, ready)
-                done = result.complete
-                if result.tlb_stall > 0:
-                    # Software-walked TLB: the miss traps to a handler on
-                    # this core — flush, handle, replay.  Serializes the
-                    # window (Widx instead stalls only the faulting unit).
-                    done += self.memory.cfg.tlb.trap_cycles
-                    self._frontend_stall_until = max(
-                        self._frontend_stall_until, done)
-                self.loads_issued += 1
-                self.mem_stall_cycles += max(0.0, done - ready - 1.0)
-                self.tlb_stall_cycles += result.tlb_stall
-            elif uop.kind is UopKind.STORE:
-                # Stores retire through a store buffer; latency is hidden.
-                self.memory.store(uop.addr, ready)
-                done = ready + 1.0
-            else:
-                done = ready + uop.latency
-            if uop.kind is UopKind.BRANCH and uop.mispredict:
-                self._frontend_stall_until = max(
-                    self._frontend_stall_until, done + self.mispredict_penalty)
-            self._all_done.append(done)
-            horizon = max(horizon, done)
-            self._horizons.append(horizon)
-            self._position += 1
-            self.uops_executed += 1
+        """Execute a stream of uops (may be called repeatedly).
+
+        The hot loop of every baseline-core measurement: configuration,
+        memory entry points and core state live in locals for the whole
+        call, and the counters accumulate locally and are written back
+        in a ``finally`` — so after the call, or an exception in it, every
+        observable value equals per-uop bookkeeping's.
+        :class:`~repro.cpu.reference.ReferenceOutOfOrderCore` is the
+        uop-by-uop twin the differential tests compare against.
+        """
+        all_done = self._all_done
+        horizons = self._horizons
+        append_done = all_done.append
+        append_horizon = horizons.append
+        memory = self.memory
+        load = memory.load
+        store = memory.store
+        trap_cycles = memory.cfg.tlb.trap_cycles
+        width = self.config.issue_width
+        rob = self.config.rob_entries
+        penalty = self.mispredict_penalty
+        dispatch = self._dispatch_time
+        slots = self._dispatched_this_cycle
+        stall_until = self._frontend_stall_until
+        position = len(all_done)
+        horizon = horizons[-1] if horizons else 0.0
+        uops_executed = self.uops_executed.value
+        loads_issued = self.loads_issued.value
+        mem_stall = self.mem_stall_cycles.value
+        tlb_stall = self.tlb_stall_cycles.value
+        try:
+            for uop in uops:
+                # Front end: one of ``width`` dispatch slots per cycle,
+                # none before a squash refill completes.
+                if dispatch < stall_until:
+                    dispatch = stall_until
+                    slots = 0
+                if slots >= width:
+                    dispatch += 1.0
+                    slots = 0
+                slots += 1
+                # ROB: dispatch cannot pass the in-order retirement of
+                # the uop ``rob`` positions earlier (its running horizon).
+                if position >= rob:
+                    gate = horizons[position - rob]
+                    if gate > dispatch:
+                        dispatch = gate
+                        slots = 1
+                ready = dispatch
+                for dep in uop.deps:
+                    if 0 <= dep < position:
+                        done = all_done[dep]
+                        if done > ready:
+                            ready = done
+                    else:
+                        raise dep_error(position, dep)
+                kind = uop.kind
+                if kind is _LOAD:
+                    result = load(uop.addr, ready)
+                    done = result.complete
+                    translation = result.tlb_stall
+                    if translation > 0:
+                        # Software-walked TLB: the miss traps to a handler
+                        # on this core — flush, handle, replay.  Serializes
+                        # the window (Widx instead stalls only the
+                        # faulting unit).
+                        done += trap_cycles
+                        if done > stall_until:
+                            stall_until = done
+                        tlb_stall += translation
+                    loads_issued += 1
+                    waited = done - ready - 1.0
+                    if waited > 0.0:
+                        mem_stall += waited
+                elif kind is _STORE:
+                    # Stores retire through a store buffer; latency is hidden.
+                    store(uop.addr, ready)
+                    done = ready + 1.0
+                else:
+                    done = ready + uop.latency
+                    if uop.mispredict and kind is _BRANCH:
+                        squash = done + penalty
+                        if squash > stall_until:
+                            stall_until = squash
+                append_done(done)
+                if done > horizon:
+                    horizon = done
+                append_horizon(horizon)
+                position += 1
+                uops_executed += 1
+        finally:
+            self._dispatch_time = dispatch
+            self._dispatched_this_cycle = slots
+            self._frontend_stall_until = stall_until
+            self.uops_executed.value = uops_executed
+            self.loads_issued.value = loads_issued
+            self.mem_stall_cycles.value = mem_stall
+            self.tlb_stall_cycles.value = tlb_stall
 
     @property
     def completion_time(self) -> float:
         """Cycle at which every executed uop has retired."""
-        return self._horizons[-1] if getattr(self, "_horizons", None) else 0.0
+        return self._horizons[-1] if self._horizons else 0.0

@@ -26,7 +26,7 @@ block reuse — the same property :mod:`repro.cpu.trace` relies on.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from ..config import SystemConfig, DEFAULT_CONFIG
 from ..db import btree as _btree
@@ -38,13 +38,13 @@ from ..db.trie import MlpTrie, probe_value, tag_value
 from ..db.wormhole import WormholeIndex
 from ..mem.hierarchy import MemoryHierarchy
 from ..mem.physmem import NULL_PTR
-from ..obs import StatsRegistry
-from ..sim.sampling import BatchStats
-from .inorder import InOrderCore
-from .ooo import OutOfOrderCore
-from .timing import CoreTimingResult
-from .trace import HOST_OPS_PER_HASH_STEP
+from .timing import CoreTimingResult, make_core, run_probe_loop
+from .trace import address_alus
 from .uops import Uop, UopKind
+
+_ALU = UopKind.ALU
+_LOAD = UopKind.LOAD
+_BRANCH = UopKind.BRANCH
 
 
 def warm_ordered_index(memory: MemoryHierarchy, index) -> None:
@@ -105,72 +105,62 @@ class TreeTraceGenerator(_OrderedTraceGenerator):
         on its parent's load — the pointer chase an OoO window can only
         overlap *across* probes, never within one."""
         tree = self.tree
-        uops: List[Uop] = []
-
-        def pos() -> int:
-            return stream_base + len(uops)
-
+        node_key = tree.node_key
         key = int(self.probe_keys.values[row])
-        uops.append(Uop(UopKind.LOAD, addr=self.probe_keys.address_of(row)))
-        key_ready = pos() - 1
+        uops = [Uop(_LOAD, self.probe_keys.address_of(row))]
+        append = uops.append
+        key_ready = stream_base
+        here = stream_base + 1   # stream position of the next uop
 
         node_dep = key_ready
         for node in tree.descend_path(key):
             # Meta word: leaf test.  The node address came from the parent.
-            uops.append(Uop(UopKind.LOAD, addr=node, deps=(node_dep,)))
-            meta_ready = pos() - 1
-            uops.append(Uop(UopKind.ALU, deps=(meta_ready,)))
-            uops.append(Uop(UopKind.BRANCH, deps=(pos() - 1,)))
+            append(Uop(_LOAD, node, (node_dep,)))
+            meta_ready = here
+            append(Uop(_ALU, 0, (meta_ready,)))
+            append(Uop(_BRANCH, 0, (here + 1,)))
+            here += 3
+            keys = node + _btree._KEYS_OFFSET
             if tree.node_is_leaf(node):
                 matched = None
                 for slot in range(_btree.FANOUT):
-                    uops.append(Uop(
-                        UopKind.LOAD,
-                        addr=node + _btree._KEYS_OFFSET + 4 * slot,
-                        deps=(meta_ready,)))
-                    uops.append(Uop(UopKind.ALU,
-                                    deps=(pos() - 1, key_ready)))
-                    uops.append(Uop(UopKind.BRANCH, deps=(pos() - 1,)))
-                    if tree.node_key(node, slot) == key:
+                    append(Uop(_LOAD, keys + 4 * slot, (meta_ready,)))
+                    append(Uop(_ALU, 0, (here, key_ready)))
+                    append(Uop(_BRANCH, 0, (here + 1,)))
+                    here += 3
+                    if node_key(node, slot) == key:
                         matched = slot
                         break
                 if matched is not None:
-                    uops.append(Uop(
-                        UopKind.LOAD,
-                        addr=node + _btree._PAYLOADS_OFFSET + 4 * matched,
-                        deps=(meta_ready,)))
+                    append(Uop(_LOAD,
+                               node + _btree._PAYLOADS_OFFSET + 4 * matched,
+                               (meta_ready,)))
+                    here += 1
                 elif self.model_mispredicts:
                     # The miss exit deviates from the common found path.
-                    uops.append(Uop(UopKind.BRANCH, deps=(meta_ready,),
-                                    mispredict=True))
+                    append(Uop(_BRANCH, 0, (meta_ready,), 1, True))
+                    here += 1
             else:
                 slot = 0
-                while slot < _btree.FANOUT and key > tree.node_key(node, slot):
-                    uops.append(Uop(
-                        UopKind.LOAD,
-                        addr=node + _btree._KEYS_OFFSET + 4 * slot,
-                        deps=(meta_ready,)))
-                    uops.append(Uop(UopKind.ALU,
-                                    deps=(pos() - 1, key_ready)))
-                    uops.append(Uop(UopKind.BRANCH, deps=(pos() - 1,)))
+                while slot < _btree.FANOUT and key > node_key(node, slot):
+                    append(Uop(_LOAD, keys + 4 * slot, (meta_ready,)))
+                    append(Uop(_ALU, 0, (here, key_ready)))
+                    append(Uop(_BRANCH, 0, (here + 1,)))
+                    here += 3
                     slot += 1
                 if slot < _btree.FANOUT:
-                    uops.append(Uop(
-                        UopKind.LOAD,
-                        addr=node + _btree._KEYS_OFFSET + 4 * slot,
-                        deps=(meta_ready,)))
-                    uops.append(Uop(UopKind.ALU,
-                                    deps=(pos() - 1, key_ready)))
-                    uops.append(Uop(UopKind.BRANCH, deps=(pos() - 1,)))
+                    append(Uop(_LOAD, keys + 4 * slot, (meta_ready,)))
+                    append(Uop(_ALU, 0, (here, key_ready)))
+                    append(Uop(_BRANCH, 0, (here + 1,)))
+                    here += 3
                 # Child pointer: the dependency that serializes the descent.
-                uops.append(Uop(
-                    UopKind.LOAD,
-                    addr=node + _btree._CHILDREN_OFFSET + 8 * slot,
-                    deps=(meta_ready,)))
-                node_dep = pos() - 1
+                append(Uop(_LOAD, node + _btree._CHILDREN_OFFSET + 8 * slot,
+                           (meta_ready,)))
+                node_dep = here
+                here += 1
         # Probe-loop bookkeeping.
-        uops.append(Uop(UopKind.ALU))
-        uops.append(Uop(UopKind.BRANCH, deps=(pos() - 1,)))
+        append(Uop(_ALU))
+        append(Uop(_BRANCH, 0, (here,)))
         return uops
 
 
@@ -183,19 +173,19 @@ class TrieTraceGenerator(_OrderedTraceGenerator):
         self.trie = trie
         self.model_mispredicts = model_mispredicts
         self._typical_depth = max(1, round(trie.mean_depth))
+        self._hash_alus = address_alus(trie.hash_spec)
 
     def probe_uops(self, row: int, stream_base: int) -> List[Uop]:
         """One MLP-trie lookup: every candidate bucket address depends
         only on the key load, so the level fetches issue in parallel."""
         trie = self.trie
-        uops: List[Uop] = []
-
-        def pos() -> int:
-            return stream_base + len(uops)
-
+        slot_tag = trie.slot_tag
+        hash_alus = self._hash_alus
         key = int(self.probe_keys.values[row])
-        uops.append(Uop(UopKind.LOAD, addr=self.probe_keys.address_of(row)))
-        key_ready = pos() - 1
+        uops = [Uop(_LOAD, self.probe_keys.address_of(row))]
+        append = uops.append
+        key_ready = stream_base
+        here = stream_base + 1   # stream position of the next uop
 
         hit_depth = None
         for depth in range(1, _trie.MAX_DEPTH + 1):
@@ -203,17 +193,13 @@ class TrieTraceGenerator(_OrderedTraceGenerator):
             # key alone: the whole address chain for this depth depends
             # only on the key load, NOT on any other depth — the MLP the
             # layout exists to expose.
-            uops.append(Uop(UopKind.ALU, deps=(key_ready,)))  # shift
-            uops.append(Uop(UopKind.ALU, deps=(pos() - 1,)))  # + depth tag
-            prev = pos() - 1
-            for _step in trie.hash_spec.steps:
-                for _ in range(HOST_OPS_PER_HASH_STEP):
-                    uops.append(Uop(UopKind.ALU, deps=(prev,)))
-                    prev = pos() - 1
-            for _ in range(3):                   # mask, scale, base add
-                uops.append(Uop(UopKind.ALU, deps=(prev,)))
-                prev = pos() - 1
-            addr_ready = prev
+            append(Uop(_ALU, 0, (key_ready,)))  # shift
+            append(Uop(_ALU, 0, (here,)))       # + depth tag
+            # Hash, then mask, scale and base add: a serial chain.
+            for prev in range(here + 1, here + 1 + hash_alus):
+                append(Uop(_ALU, 0, (prev,)))
+            here += 2 + hash_alus
+            addr_ready = here - 1
 
             expect = tag_value(key, depth)
             block_dep = addr_ready
@@ -221,33 +207,31 @@ class TrieTraceGenerator(_OrderedTraceGenerator):
             for block in trie.chain_blocks(trie.bucket_addr(key, depth)):
                 for index in range(_trie.SLOTS_PER_BUCKET):
                     slot = block + _trie._SLOT_BASE + index * _trie.SLOT_BYTES
-                    uops.append(Uop(UopKind.LOAD,
-                                    addr=slot + _trie._TAG_OFFSET,
-                                    deps=(block_dep,)))
-                    uops.append(Uop(UopKind.ALU, deps=(pos() - 1, key_ready)))
-                    uops.append(Uop(UopKind.BRANCH, deps=(pos() - 1,)))
-                    if trie.slot_tag(slot) == expect:
-                        uops.append(Uop(UopKind.LOAD,
-                                        addr=slot + _trie._PAYLOAD_OFFSET,
-                                        deps=(block_dep,)))
+                    append(Uop(_LOAD, slot + _trie._TAG_OFFSET, (block_dep,)))
+                    append(Uop(_ALU, 0, (here, key_ready)))
+                    append(Uop(_BRANCH, 0, (here + 1,)))
+                    here += 3
+                    if slot_tag(slot) == expect:
+                        append(Uop(_LOAD, slot + _trie._PAYLOAD_OFFSET,
+                                   (block_dep,)))
+                        here += 1
                         found = True
                         break
                 if found:
                     break
                 # Overflow pointer: the intra-bucket chain IS dependent.
-                uops.append(Uop(UopKind.LOAD,
-                                addr=block + _trie._OVERFLOW_OFFSET,
-                                deps=(block_dep,)))
-                block_dep = pos() - 1
-                uops.append(Uop(UopKind.BRANCH, deps=(block_dep,)))
+                append(Uop(_LOAD, block + _trie._OVERFLOW_OFFSET,
+                           (block_dep,)))
+                block_dep = here
+                append(Uop(_BRANCH, 0, (block_dep,)))
+                here += 2
             if found:
                 hit_depth = depth
                 break
         mispredict = (self.model_mispredicts
                       and (hit_depth or _trie.MAX_DEPTH) != self._typical_depth)
-        uops.append(Uop(UopKind.ALU))
-        uops.append(Uop(UopKind.BRANCH, deps=(pos() - 1,),
-                        mispredict=mispredict))
+        append(Uop(_ALU))
+        append(Uop(_BRANCH, 0, (here,), 1, mispredict))
         return uops
 
 
@@ -259,19 +243,20 @@ class WormholeTraceGenerator(_OrderedTraceGenerator):
         super().__init__(probe_keys)
         self.index = index
         self.model_mispredicts = model_mispredicts
+        self._hash_alus = address_alus(index.hash_spec)
 
     def probe_uops(self, row: int, stream_base: int) -> List[Uop]:
         """One wormhole lookup: binary search over prefix depths in the
         meta hash, then a single leaf scan."""
         wh = self.index
-        uops: List[Uop] = []
-
-        def pos() -> int:
-            return stream_base + len(uops)
-
+        read_u64 = wh.memory.read_u64
+        leaf_key = wh.leaf_key
+        hash_alus = self._hash_alus
         key = int(self.probe_keys.values[row])
-        uops.append(Uop(UopKind.LOAD, addr=self.probe_keys.address_of(row)))
-        key_ready = pos() - 1
+        uops = [Uop(_LOAD, self.probe_keys.address_of(row))]
+        append = uops.append
+        key_ready = stream_base
+        here = stream_base + 1   # stream position of the next uop
 
         # Binary search over prefix depths.  Unlike the trie, the NEXT
         # depth to probe is decided by the CURRENT probe's outcome, so
@@ -283,51 +268,43 @@ class WormholeTraceGenerator(_OrderedTraceGenerator):
         outcome_dep = key_ready
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            uops.append(Uop(UopKind.ALU, deps=(key_ready, outcome_dep)))
-            uops.append(Uop(UopKind.ALU, deps=(pos() - 1,)))
-            prev = pos() - 1
-            for _step in wh.hash_spec.steps:
-                for _ in range(HOST_OPS_PER_HASH_STEP):
-                    uops.append(Uop(UopKind.ALU, deps=(prev,)))
-                    prev = pos() - 1
-            for _ in range(3):
-                uops.append(Uop(UopKind.ALU, deps=(prev,)))
-                prev = pos() - 1
+            append(Uop(_ALU, 0, (key_ready, outcome_dep)))
+            append(Uop(_ALU, 0, (here,)))
+            # Hash, then mask, scale and base add: a serial chain.
+            for prev in range(here + 1, here + 1 + hash_alus):
+                append(Uop(_ALU, 0, (prev,)))
+            here += 2 + hash_alus
 
             value = probe_value(key, mid)
             found = None
-            block_dep = prev
+            block_dep = here - 1
             block = wh.meta_bucket_addr(value)
             while block != NULL_PTR and found is None:
                 hit = False
                 for index in range(_wormhole.META_SLOTS_PER_BUCKET):
                     slot = (block + _wormhole._META_SLOT_BASE
                             + index * _wormhole.META_SLOT_BYTES)
-                    uops.append(Uop(UopKind.LOAD,
-                                    addr=slot + _wormhole._META_TAG_OFFSET,
-                                    deps=(block_dep,)))
-                    uops.append(Uop(UopKind.ALU, deps=(pos() - 1, key_ready)))
-                    uops.append(Uop(UopKind.BRANCH, deps=(pos() - 1,)))
-                    if wh.memory.read_u64(
-                            slot + _wormhole._META_TAG_OFFSET) == value:
-                        uops.append(Uop(
-                            UopKind.LOAD,
-                            addr=slot + _wormhole._META_LEAF_OFFSET,
-                            deps=(block_dep,)))
-                        found = wh.memory.read_u64(
-                            slot + _wormhole._META_LEAF_OFFSET)
+                    append(Uop(_LOAD, slot + _wormhole._META_TAG_OFFSET,
+                               (block_dep,)))
+                    append(Uop(_ALU, 0, (here, key_ready)))
+                    append(Uop(_BRANCH, 0, (here + 1,)))
+                    here += 3
+                    if read_u64(slot + _wormhole._META_TAG_OFFSET) == value:
+                        append(Uop(_LOAD, slot + _wormhole._META_LEAF_OFFSET,
+                                   (block_dep,)))
+                        here += 1
+                        found = read_u64(slot + _wormhole._META_LEAF_OFFSET)
                         hit = True
                         break
                 if hit:
                     break
-                uops.append(Uop(UopKind.LOAD,
-                                addr=block + _wormhole._META_OVERFLOW_OFFSET,
-                                deps=(block_dep,)))
-                block_dep = pos() - 1
-                uops.append(Uop(UopKind.BRANCH, deps=(block_dep,)))
-                block = wh.memory.read_u64(
-                    block + _wormhole._META_OVERFLOW_OFFSET)
-            outcome_dep = pos() - 1
+                append(Uop(_LOAD, block + _wormhole._META_OVERFLOW_OFFSET,
+                           (block_dep,)))
+                block_dep = here
+                append(Uop(_BRANCH, 0, (block_dep,)))
+                here += 2
+                block = read_u64(block + _wormhole._META_OVERFLOW_OFFSET)
+            outcome_dep = here - 1
             if found is None:
                 hi = mid - 1
             else:
@@ -338,45 +315,44 @@ class WormholeTraceGenerator(_OrderedTraceGenerator):
         leaf = best
         leaf_dep = outcome_dep
         while True:
-            uops.append(Uop(UopKind.LOAD,
-                            addr=leaf + _wormhole._NEXT_LEAF_OFFSET,
-                            deps=(leaf_dep,)))
-            next_ready = pos() - 1
+            append(Uop(_LOAD, leaf + _wormhole._NEXT_LEAF_OFFSET,
+                       (leaf_dep,)))
+            next_ready = here
+            here += 1
             nxt = wh.next_leaf(leaf)
             if nxt == NULL_PTR:
-                uops.append(Uop(UopKind.BRANCH, deps=(next_ready,)))
+                append(Uop(_BRANCH, 0, (next_ready,)))
+                here += 1
                 break
-            uops.append(Uop(UopKind.LOAD,
-                            addr=nxt + _wormhole._KEYS_OFFSET,
-                            deps=(next_ready,)))
-            uops.append(Uop(UopKind.ALU, deps=(pos() - 1, key_ready)))
-            uops.append(Uop(UopKind.BRANCH, deps=(pos() - 1,)))
-            if wh.leaf_key(nxt, 0) > key:
+            append(Uop(_LOAD, nxt + _wormhole._KEYS_OFFSET, (next_ready,)))
+            append(Uop(_ALU, 0, (here, key_ready)))
+            append(Uop(_BRANCH, 0, (here + 1,)))
+            here += 3
+            if leaf_key(nxt, 0) > key:
                 break
             leaf = nxt
             leaf_dep = next_ready
 
         # Final leaf: scan slots for the key.
         matched = None
+        keys = leaf + _wormhole._KEYS_OFFSET
         for slot in range(_wormhole.FANOUT):
-            uops.append(Uop(UopKind.LOAD,
-                            addr=leaf + _wormhole._KEYS_OFFSET + 4 * slot,
-                            deps=(leaf_dep,)))
-            uops.append(Uop(UopKind.ALU, deps=(pos() - 1, key_ready)))
-            uops.append(Uop(UopKind.BRANCH, deps=(pos() - 1,)))
-            if wh.leaf_key(leaf, slot) == key:
+            append(Uop(_LOAD, keys + 4 * slot, (leaf_dep,)))
+            append(Uop(_ALU, 0, (here, key_ready)))
+            append(Uop(_BRANCH, 0, (here + 1,)))
+            here += 3
+            if leaf_key(leaf, slot) == key:
                 matched = slot
                 break
         if matched is not None:
-            uops.append(Uop(
-                UopKind.LOAD,
-                addr=leaf + _wormhole._PAYLOADS_OFFSET + 4 * matched,
-                deps=(leaf_dep,)))
+            append(Uop(_LOAD, leaf + _wormhole._PAYLOADS_OFFSET + 4 * matched,
+                       (leaf_dep,)))
+            here += 1
         elif self.model_mispredicts:
-            uops.append(Uop(UopKind.BRANCH, deps=(leaf_dep,),
-                            mispredict=True))
-        uops.append(Uop(UopKind.ALU))
-        uops.append(Uop(UopKind.BRANCH, deps=(pos() - 1,)))
+            append(Uop(_BRANCH, 0, (leaf_dep,), 1, True))
+            here += 1
+        append(Uop(_ALU))
+        append(Uop(_BRANCH, 0, (here,)))
         return uops
 
 
@@ -410,17 +386,13 @@ class BatchedTreeTraceGenerator(_OrderedTraceGenerator):
         batch's frontier is loaded once per level and later members of
         the group reuse the loaded block."""
         tree = self.tree
-        uops: List[Uop] = []
-
-        def pos() -> int:
-            return stream_base + len(uops)
-
+        node_key = tree.node_key
         keys = [int(self.probe_keys.values[row]) for row in rows]
-        key_ready: Dict[int, int] = {}
-        for slot, row in enumerate(rows):
-            uops.append(Uop(UopKind.LOAD,
-                            addr=self.probe_keys.address_of(row)))
-            key_ready[slot] = pos() - 1
+        uops = [Uop(_LOAD, self.probe_keys.address_of(row)) for row in rows]
+        append = uops.append
+        # Probe slot i's key load sits at stream position stream_base + i.
+        key_ready = range(stream_base, stream_base + len(rows))
+        here = stream_base + len(rows)   # stream position of the next uop
         order = sorted(range(len(keys)), key=keys.__getitem__) \
             if self.sort_batches else list(range(len(keys)))
 
@@ -434,47 +406,44 @@ class BatchedTreeTraceGenerator(_OrderedTraceGenerator):
             for node, members in groups.items():
                 # One fetch per distinct node per level — the batched
                 # amortization.  Later members reuse the loaded block.
-                uops.append(Uop(UopKind.LOAD, addr=node,
-                                deps=(members[0][1],)))
-                node_ready = pos() - 1
-                uops.append(Uop(UopKind.ALU, deps=(node_ready,)))
-                uops.append(Uop(UopKind.BRANCH, deps=(pos() - 1,)))
+                append(Uop(_LOAD, node, (members[0][1],)))
+                node_ready = here
+                append(Uop(_ALU, 0, (node_ready,)))
+                append(Uop(_BRANCH, 0, (here + 1,)))
+                here += 3
                 if tree.node_is_leaf(node):
                     for i, _dep in members:
                         for slot in range(_btree.FANOUT):
-                            uops.append(Uop(UopKind.ALU,
-                                            deps=(node_ready, key_ready[i])))
-                            uops.append(Uop(UopKind.BRANCH,
-                                            deps=(pos() - 1,)))
-                            if tree.node_key(node, slot) == keys[i]:
-                                uops.append(Uop(
-                                    UopKind.LOAD,
-                                    addr=(node + _btree._PAYLOADS_OFFSET
-                                          + 4 * slot),
-                                    deps=(node_ready,)))
+                            append(Uop(_ALU, 0, (node_ready, key_ready[i])))
+                            append(Uop(_BRANCH, 0, (here,)))
+                            here += 2
+                            if node_key(node, slot) == keys[i]:
+                                append(Uop(_LOAD,
+                                           (node + _btree._PAYLOADS_OFFSET
+                                            + 4 * slot),
+                                           (node_ready,)))
+                                here += 1
                                 break
                 else:
                     for i, _dep in members:
                         slot = 0
                         while (slot < _btree.FANOUT
-                               and keys[i] > tree.node_key(node, slot)):
-                            uops.append(Uop(UopKind.ALU,
-                                            deps=(node_ready, key_ready[i])))
-                            uops.append(Uop(UopKind.BRANCH,
-                                            deps=(pos() - 1,)))
+                               and keys[i] > node_key(node, slot)):
+                            append(Uop(_ALU, 0, (node_ready, key_ready[i])))
+                            append(Uop(_BRANCH, 0, (here,)))
+                            here += 2
                             slot += 1
                         if slot < _btree.FANOUT:
-                            uops.append(Uop(UopKind.ALU,
-                                            deps=(node_ready, key_ready[i])))
-                            uops.append(Uop(UopKind.BRANCH,
-                                            deps=(pos() - 1,)))
+                            append(Uop(_ALU, 0, (node_ready, key_ready[i])))
+                            append(Uop(_BRANCH, 0, (here,)))
+                            here += 2
                         child = tree.node_child(node, slot)
                         if child == NULL_PTR:
                             child = tree._last_real_child(node)
                         next_frontier.append((i, child, node_ready))
             frontier = next_frontier
-        uops.append(Uop(UopKind.ALU))
-        uops.append(Uop(UopKind.BRANCH, deps=(pos() - 1,)))
+        append(Uop(_ALU))
+        append(Uop(_BRANCH, 0, (here,)))
         return uops
 
 
@@ -500,29 +469,17 @@ def measure_ordered_indexing(index, probe_keys: Column, *,
                              measure_probes: Optional[int] = None,
                              batch: int = 4,
                              batch_size: int = 128,
-                             warm_index: bool = True,
-                             bulk: bool = False) -> CoreTimingResult:
+                             warm_index: bool = True) -> CoreTimingResult:
     """Run an ordered-index probe loop on a baseline core model.
 
-    Mirrors :func:`repro.cpu.timing.measure_indexing`; ``bulk`` is
-    accepted for interface parity but always runs the event-driven path —
-    ordered traces interleave variable-length dependent chains that the
-    array replay cannot schedule unambiguously, and using one path keeps
-    ``--bulk`` output bit-identical by construction.
-
+    Mirrors :func:`repro.cpu.timing.measure_indexing`.
     ``warmup_probes``/``measure_probes`` count probes (tuples), not
     traces: for the batched class they are rounded down to whole batches.
     """
-    del bulk  # interface parity only; see docstring
     memory = MemoryHierarchy(config)
     if warm_index:
         warm_ordered_index(memory, index)
-    if core == "ooo":
-        model = OutOfOrderCore(config.ooo, memory)
-    elif core == "inorder":
-        model = InOrderCore(config.inorder, memory)
-    else:
-        raise ValueError(f"unknown core model {core!r} (want 'ooo' or 'inorder')")
+    model = make_core(core, config, memory)
 
     generator = make_ordered_generator(index_class, index, probe_keys,
                                        batch=batch)
@@ -535,36 +492,6 @@ def measure_ordered_indexing(index, probe_keys: Column, *,
     if len(rows) // per_trace <= warmup_traces:
         raise ValueError(
             f"need more than {warmup_probes} probes to measure after warm-up")
-
-    stats = BatchStats(batch_size=max(1, batch_size // per_trace))
-    measured_tuples = 0
-    measure_start = 0.0
-    for trace_number, uops in enumerate(generator.stream(rows)):
-        before = model.completion_time
-        model.execute(uops)
-        if trace_number == warmup_traces - 1:
-            measure_start = model.completion_time
-        elif trace_number >= warmup_traces:
-            stats.add(model.completion_time - before)
-            measured_tuples += per_trace
-
-    total = model.completion_time - measure_start
-    mean, half = stats.interval()
-    registry = StatsRegistry()
-    model.register_into(registry, f"cpu.{core}")
-    memory.register_into(registry, "mem")
-    warm_tuples = warmup_traces * per_trace
-    return CoreTimingResult(
-        core=core,
-        cycles_per_tuple=total / measured_tuples,
-        ci_half_width=half / per_trace,
-        tuples=measured_tuples,
-        total_cycles=total,
-        mem_stall_per_tuple=model.mem_stall_cycles / max(1, model.uops_executed)
-        * (model.uops_executed / max(1, measured_tuples + warm_tuples)),
-        tlb_stall_per_tuple=model.tlb_stall_cycles
-        / max(1, measured_tuples + warm_tuples),
-        l1_miss_ratio=memory.stats.l1d.miss_ratio,
-        llc_miss_ratio=memory.stats.llc.miss_ratio,
-        stats=registry.to_dict(),
-    )
+    return run_probe_loop(model, memory, core, generator.stream(rows),
+                          warmup_traces=warmup_traces, per_trace=per_trace,
+                          batch_size=max(1, batch_size // per_trace))

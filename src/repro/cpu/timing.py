@@ -8,7 +8,7 @@ the remaining probes, reporting a 95% confidence interval over batch means.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from ..config import SystemConfig, DEFAULT_CONFIG
 from ..db.column import Column
@@ -19,6 +19,7 @@ from ..sim.sampling import BatchStats
 from .inorder import InOrderCore
 from .ooo import OutOfOrderCore
 from .trace import ProbeTraceGenerator
+from .uops import Uop
 
 
 def warm_hash_index(memory: MemoryHierarchy, index: HashIndex) -> None:
@@ -54,6 +55,58 @@ class CoreTimingResult:
         return self.ci_half_width / self.cycles_per_tuple
 
 
+def make_core(core: str, config: SystemConfig, memory: MemoryHierarchy):
+    """The baseline core model ``core`` (``"ooo"`` or ``"inorder"``)."""
+    if core == "ooo":
+        return OutOfOrderCore(config.ooo, memory)
+    if core == "inorder":
+        return InOrderCore(config.inorder, memory)
+    raise ValueError(f"unknown core model {core!r} (want 'ooo' or 'inorder')")
+
+
+def run_probe_loop(model, memory: MemoryHierarchy, core: str,
+                   traces: Iterable[List[Uop]], *, warmup_traces: int,
+                   per_trace: int, batch_size: int) -> CoreTimingResult:
+    """Stream ``traces`` (each covering ``per_trace`` probes) through a
+    core model and reduce the run to a :class:`CoreTimingResult`.
+
+    The first ``warmup_traces`` traces only warm the machine; each later
+    trace adds its cycles as one sample to batch means over
+    ``batch_size`` traces.
+    """
+    stats = BatchStats(batch_size=batch_size)
+    measured_tuples = 0
+    measure_start = 0.0
+    for trace_number, uops in enumerate(traces):
+        before = model.completion_time
+        model.execute(uops)
+        if trace_number == warmup_traces - 1:
+            measure_start = model.completion_time
+        elif trace_number >= warmup_traces:
+            stats.add(model.completion_time - before)
+            measured_tuples += per_trace
+
+    total = model.completion_time - measure_start
+    mean, half = stats.interval()
+    registry = StatsRegistry()
+    model.register_into(registry, f"cpu.{core}")
+    memory.register_into(registry, "mem")
+    tuples_run = max(1, measured_tuples + warmup_traces * per_trace)
+    return CoreTimingResult(
+        core=core,
+        cycles_per_tuple=total / measured_tuples,
+        ci_half_width=half / per_trace,
+        tuples=measured_tuples,
+        total_cycles=total,
+        mem_stall_per_tuple=model.mem_stall_cycles / max(1, model.uops_executed)
+        * (model.uops_executed / tuples_run),
+        tlb_stall_per_tuple=model.tlb_stall_cycles / tuples_run,
+        l1_miss_ratio=memory.stats.l1d.miss_ratio,
+        llc_miss_ratio=memory.stats.llc.miss_ratio,
+        stats=registry.to_dict(),
+    )
+
+
 def measure_indexing(index: HashIndex, probe_keys: Column, *,
                      core: str = "ooo",
                      config: SystemConfig = DEFAULT_CONFIG,
@@ -61,8 +114,7 @@ def measure_indexing(index: HashIndex, probe_keys: Column, *,
                      measure_probes: Optional[int] = None,
                      rows: Optional[Sequence[int]] = None,
                      batch_size: int = 128,
-                     warm_index: bool = True,
-                     bulk: bool = False) -> CoreTimingResult:
+                     warm_index: bool = True) -> CoreTimingResult:
     """Run the probe loop on a baseline core model; return cycles/tuple.
 
     ``warm_index`` mimics the paper's warmed-cache checkpoints: the index
@@ -70,31 +122,11 @@ def measure_indexing(index: HashIndex, probe_keys: Column, *,
     column) is functionally installed in the LLC before timing starts, so
     compulsory misses do not masquerade as capacity misses.  Indexes larger
     than the LLC still miss, via LRU, exactly as in steady state.
-
-    ``bulk=True`` routes the run through the array-program replay
-    (:mod:`repro.sim.bulk`), which produces bit-identical results and
-    falls back to this event-driven path if the schedule cannot be
-    replayed unambiguously.
     """
-    if bulk:
-        from ..sim.bulk import BulkFallback, bulk_measure_indexing
-        try:
-            return bulk_measure_indexing(
-                index, probe_keys, core=core, config=config,
-                warmup_probes=warmup_probes, measure_probes=measure_probes,
-                rows=rows, batch_size=batch_size, warm_index=warm_index)
-        except BulkFallback:
-            pass  # a contended schedule: replay on the DES below
-
     memory = MemoryHierarchy(config)
     if warm_index:
         warm_hash_index(memory, index)
-    if core == "ooo":
-        model = OutOfOrderCore(config.ooo, memory)
-    elif core == "inorder":
-        model = InOrderCore(config.inorder, memory)
-    else:
-        raise ValueError(f"unknown core model {core!r} (want 'ooo' or 'inorder')")
+    model = make_core(core, config, memory)
 
     generator = ProbeTraceGenerator(index, probe_keys)
     total_rows = len(probe_keys.values)
@@ -106,34 +138,6 @@ def measure_indexing(index: HashIndex, probe_keys: Column, *,
     if len(rows) <= warmup_probes:
         raise ValueError(
             f"need more than {warmup_probes} probes to measure after warm-up")
-
-    stats = BatchStats(batch_size=batch_size)
-    measured_tuples = 0
-    measure_start = 0.0
-    for probe_number, uops in enumerate(generator.stream(rows)):
-        before = model.completion_time
-        model.execute(uops)
-        if probe_number == warmup_probes - 1:
-            measure_start = model.completion_time
-        elif probe_number >= warmup_probes:
-            stats.add(model.completion_time - before)
-            measured_tuples += 1
-
-    total = model.completion_time - measure_start
-    mean, half = stats.interval()
-    registry = StatsRegistry()
-    model.register_into(registry, f"cpu.{core}")
-    memory.register_into(registry, "mem")
-    return CoreTimingResult(
-        core=core,
-        cycles_per_tuple=total / measured_tuples,
-        ci_half_width=half,
-        tuples=measured_tuples,
-        total_cycles=total,
-        mem_stall_per_tuple=model.mem_stall_cycles / max(1, model.uops_executed)
-        * (model.uops_executed / max(1, measured_tuples + warmup_probes)),
-        tlb_stall_per_tuple=model.tlb_stall_cycles / max(1, measured_tuples + warmup_probes),
-        l1_miss_ratio=memory.stats.l1d.miss_ratio,
-        llc_miss_ratio=memory.stats.llc.miss_ratio,
-        stats=registry.to_dict(),
-    )
+    return run_probe_loop(model, memory, core, generator.stream(rows),
+                          warmup_traces=warmup_probes, per_trace=1,
+                          batch_size=batch_size)

@@ -23,11 +23,20 @@ from typing import Iterator, List, Optional, Sequence
 
 from ..db.column import Column
 from ..db.hashtable import HashIndex
-from ..mem.physmem import NULL_PTR
 from .uops import Uop, UopKind
 
 #: Host ALU ops per hash mixing step (shift + combine; no fusion).
 HOST_OPS_PER_HASH_STEP = 2
+
+_ALU = UopKind.ALU
+_LOAD = UopKind.LOAD
+_BRANCH = UopKind.BRANCH
+
+
+def address_alus(hash_spec) -> int:
+    """Serial host ALU ops from a probe value to its bucket address: the
+    hash steps, then mask, scale (shift) and base add."""
+    return len(hash_spec.steps) * HOST_OPS_PER_HASH_STEP + 3
 
 
 class ProbeTraceGenerator:
@@ -47,6 +56,7 @@ class ProbeTraceGenerator:
         # learns the most common chain length and only mispredicts probes
         # whose chain deviates from it.
         self._typical_chain = max(1, round(index.num_keys / max(1, index.num_buckets)))
+        self._address_alus = address_alus(index.hash_spec)
 
     def _exit_mispredicts(self, chain_length: int) -> bool:
         if not self.model_mispredicts:
@@ -58,72 +68,63 @@ class ProbeTraceGenerator:
         stream positions starting at ``stream_base``."""
         index = self.index
         layout = index.layout
-        uops: List[Uop] = []
-
-        def pos() -> int:
-            return stream_base + len(uops)
-
-        key_addr = self.probe_keys.address_of(row)
+        indirect = layout.indirect
         key = int(self.probe_keys.values[row])
-        uops.append(Uop(UopKind.LOAD, addr=key_addr))
-        key_ready = pos() - 1
+        key_ready = stream_base
+        uops = [Uop(_LOAD, self.probe_keys.address_of(row))]
+        append = uops.append
 
-        # Hash: a serial ALU chain seeded by the key load.
-        prev = key_ready
-        for _step in index.hash_spec.steps:
-            for _ in range(HOST_OPS_PER_HASH_STEP):
-                uops.append(Uop(UopKind.ALU, deps=(prev,)))
-                prev = pos() - 1
-        # Bucket address: mask, scale (shift) and base add.
-        for _ in range(3):
-            uops.append(Uop(UopKind.ALU, deps=(prev,)))
-            prev = pos() - 1
-        addr_ready = prev
+        # Hash, then the bucket address (mask, scale, base add): a serial
+        # ALU chain seeded by the key load.
+        addr_ready = key_ready + self._address_alus
+        for prev in range(key_ready, addr_ready):
+            append(Uop(_ALU, 0, (prev,)))
+        here = addr_ready + 1   # stream position of the next uop
 
         # Walk the actual chain.
         chain = list(index.walk_chain(key))
+        last = len(chain) - 1
+        exit_mispredicts = self._exit_mispredicts(len(chain))
         prev_node_dep = addr_ready
         for node_index, node_addr in enumerate(chain):
-            last = node_index == len(chain) - 1
-            slot_addr = node_addr + layout.key_offset
-            uops.append(Uop(UopKind.LOAD, addr=slot_addr, deps=(prev_node_dep,)))
-            slot_ready = pos() - 1
-            cmp_dep = slot_ready
-            if layout.indirect:
+            append(Uop(_LOAD, node_addr + layout.key_offset,
+                       (prev_node_dep,)))
+            cmp_dep = here
+            here += 1
+            if indirect:
                 # Address arithmetic into the base column, then the key load.
-                uops.append(Uop(UopKind.ALU, deps=(slot_ready,)))
+                append(Uop(_ALU, 0, (cmp_dep,)))
                 row_id = index.node_payload(node_addr)
-                uops.append(Uop(UopKind.LOAD,
-                                addr=index.key_address_for_row(row_id),
-                                deps=(pos() - 1,)))
-                cmp_dep = pos() - 1
-            uops.append(Uop(UopKind.ALU, deps=(cmp_dep, key_ready)))  # compare
-            uops.append(Uop(UopKind.BRANCH, deps=(pos() - 1,)))
-            if index.node_key(node_addr) == key and not layout.indirect:
+                append(Uop(_LOAD, index.key_address_for_row(row_id),
+                           (here,)))
+                cmp_dep = here + 1
+                here += 2
+            append(Uop(_ALU, 0, (cmp_dep, key_ready)))  # compare
+            append(Uop(_BRANCH, 0, (here,)))
+            compare = here
+            here += 2
+            if index.node_key(node_addr) == key and not indirect:
                 # Emit: read the payload (same block as the key slot).
-                uops.append(Uop(UopKind.LOAD,
-                                addr=node_addr + layout.payload_offset,
-                                deps=(pos() - 2,)))
-            next_addr_load = node_addr + layout.next_offset
-            uops.append(Uop(UopKind.LOAD, addr=next_addr_load,
-                            deps=(prev_node_dep,)))
-            next_ready = pos() - 1
-            uops.append(Uop(
-                UopKind.BRANCH, deps=(next_ready,),
-                mispredict=last and self._exit_mispredicts(len(chain))))
-            prev_node_dep = next_ready
+                append(Uop(_LOAD, node_addr + layout.payload_offset,
+                           (compare,)))
+                here += 1
+            append(Uop(_LOAD, node_addr + layout.next_offset,
+                       (prev_node_dep,)))
+            append(Uop(_BRANCH, 0, (here,), 1,
+                       node_index == last and exit_mispredicts))
+            prev_node_dep = here
+            here += 2
         if not chain:
             # Empty bucket: the header's key slot is still read and compared
             # against the sentinel before the walk loop can exit.
             header = index.bucket_addr(index.bucket_of_key(key))
-            uops.append(Uop(UopKind.LOAD, addr=header + layout.key_offset,
-                            deps=(addr_ready,)))
-            uops.append(Uop(UopKind.ALU, deps=(pos() - 1,)))
-            uops.append(Uop(UopKind.BRANCH, deps=(pos() - 1,),
-                            mispredict=self._exit_mispredicts(0)))
+            append(Uop(_LOAD, header + layout.key_offset, (addr_ready,)))
+            append(Uop(_ALU, 0, (here,)))
+            append(Uop(_BRANCH, 0, (here + 1,), 1, exit_mispredicts))
+            here += 3
         # Loop bookkeeping for the key iterator (i++ / bounds test).
-        uops.append(Uop(UopKind.ALU))
-        uops.append(Uop(UopKind.BRANCH, deps=(pos() - 1,)))
+        append(Uop(_ALU))
+        append(Uop(_BRANCH, 0, (here,)))
         return uops
 
     def stream(self, rows: Optional[Sequence[int]] = None) -> Iterator[List[Uop]]:

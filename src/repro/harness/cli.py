@@ -138,10 +138,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "an extra column in fig-serve; the fig-indexes "
                              "sweep runs it regardless")
     parser.add_argument("--bulk", action="store_true",
-                        help="evaluate independent probes and requests as "
-                             "array programs instead of event streams "
-                             "(bit-identical results; contended schedules "
-                             "automatically fall back to the event engine)")
+                        help="replay the fig-serve and fig-resilience request "
+                             "streams as array programs instead of event "
+                             "streams (bit-identical results; contended "
+                             "schedules automatically fall back to the "
+                             "event engine)")
     parser.add_argument("--serve-policy", default="fifo", metavar="SPEC",
                         dest="serve_policy",
                         help="scheduling policy for the fig-serve sweep: "
@@ -285,7 +286,7 @@ def run_experiments(names: List[str], settings: RunSettings,
     """
     if chaos is not None and store is not None:
         store = ChaosStore(store, chaos)
-    cache = MeasurementCache(runs=settings, store=store, bulk=bulk)
+    cache = MeasurementCache(runs=settings, store=store)
     points = campaign_points(names, pim=pim, batched=batched)
     failures = []
     if points:

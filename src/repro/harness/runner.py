@@ -133,17 +133,11 @@ class MeasurementCache:
     def __init__(self, config: SystemConfig = DEFAULT_CONFIG,
                  runs: RunSettings = DEFAULT_RUNS,
                  store: Optional[CacheStore] = None,
-                 watchdog_limits: Optional[WatchdogLimits] = None,
-                 bulk: bool = False) -> None:
+                 watchdog_limits: Optional[WatchdogLimits] = None) -> None:
         self.config = config
         self.runs = runs
         self.store = store
         self.watchdog_limits = watchdog_limits
-        # Bulk mode changes how baseline points are *computed*, never
-        # what they compute (bit-identical by contract) — so it is
-        # deliberately absent from measurement_key(): bulk and DES runs
-        # share cache entries.
-        self.bulk = bulk
         self._kernel_workloads: Dict[str, tuple] = {}
         self._query_workloads: Dict[str, tuple] = {}
         self._ordered_workloads: Dict[str, tuple] = {}
@@ -260,8 +254,7 @@ class MeasurementCache:
             result = measure_indexing(
                 index, probes, core=core, config=self.config,
                 warmup_probes=self.runs.warmup,
-                measure_probes=self.runs.measured,
-                bulk=self.bulk)
+                measure_probes=self.runs.measured)
             self.measured_points += 1
             self.install(point, result)
         return result  # type: ignore[return-value]
@@ -331,7 +324,7 @@ class MeasurementCache:
                 result = measure_ordered_indexing(
                     index, probes, index_class=index_class, core=core,
                     config=self.config, warmup_probes=self.runs.warmup,
-                    measure_probes=self.runs.measured, bulk=self.bulk)
+                    measure_probes=self.runs.measured)
             elif core == "widx":
                 config = self.config.with_widx(
                     num_walkers=walkers, mode=mode or "shared")

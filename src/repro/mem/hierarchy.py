@@ -23,8 +23,6 @@ small constant factors to all designs equally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..config import SystemConfig
 from .cache import CacheLevel
 from .dram import MemoryControllers
@@ -60,17 +58,41 @@ def warm_span(tlb, levels, base: int, size: int, block_bytes: int) -> None:
         cache.array.warm_blocks(first, count)
 
 
-@dataclass(frozen=True)
 class AccessResult:
-    """Timing outcome of one memory access."""
+    """Timing outcome of one memory access.
 
-    complete: float        # absolute cycle the data is usable (load-to-use)
-    tlb_stall: float       # cycles attributable to address translation
-    level: str             # 'L1' | 'LLC' | 'DRAM' — where the data came from
+    ``complete`` is the absolute cycle the data is usable (load-to-use),
+    ``tlb_stall`` the cycles attributable to address translation and
+    ``level`` where the data came from (``'L1'``, ``'LLC'`` or
+    ``'DRAM'``).  A plain ``__slots__`` record, built once per simulated
+    access; equality, hash and repr are by value, so treat instances as
+    immutable.
+    """
+
+    __slots__ = ("complete", "tlb_stall", "level")
+
+    def __init__(self, complete: float, tlb_stall: float,
+                 level: str) -> None:
+        self.complete = complete
+        self.tlb_stall = tlb_stall
+        self.level = level
 
     def latency(self, issued: float) -> float:
         """Cycles from issue to data-usable."""
         return self.complete - issued
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.complete, self.tlb_stall, self.level)
+                == (other.complete, other.tlb_stall, other.level))
+
+    def __hash__(self) -> int:
+        return hash((self.complete, self.tlb_stall, self.level))
+
+    def __repr__(self) -> str:
+        return (f"AccessResult(complete={self.complete!r}, "
+                f"tlb_stall={self.tlb_stall!r}, level={self.level!r})")
 
 
 class MemoryHierarchy:
@@ -123,7 +145,7 @@ class MemoryHierarchy:
         translated, tlb_stall = self.tlb.translate(addr, now)
         l1d = self.l1d
         block = addr >> l1d.array.block_bits
-        port_time = l1d.port_grant(translated)
+        port_time = l1d.ports.request(translated)
         outcome = l1d.probe(block, port_time)
         if outcome is None:  # L1 hit
             return AccessResult(port_time + self.cfg.l1d.latency_cycles,
@@ -136,7 +158,7 @@ class MemoryHierarchy:
         miss_start = l1d.begin_miss(port_time)
         llc_arrival = self.crossbar.traverse(miss_start)
         llc_block = block  # block sizes match by config invariant
-        llc_port = llc.port_grant(llc_arrival)
+        llc_port = llc.ports.request(llc_arrival)
         llc_outcome = llc.probe(llc_block, llc_port)
         if llc_outcome is None:  # LLC hit
             data_at_llc = llc_port + self.cfg.llc.latency_cycles

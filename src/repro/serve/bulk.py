@@ -34,9 +34,9 @@ Whenever the event schedule is *tied* — an emission landing exactly on a
 batch completion or deadline, two batches completing at the same instant
 on different cores, a non-positive service time, or an unrecognized
 policy type — the replay's event order would be ambiguous, and
-:class:`~repro.sim.bulk.BulkFallback` sends the caller to the unchanged
-DES path.  All fallback checks run before any registry mutation, so a
-fallback never leaves partial state behind.
+:class:`BulkFallback` sends the caller to the unchanged DES path.  All
+fallback checks run before any registry mutation, so a fallback never
+leaves partial state behind.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..errors import SimulationError
 from ..obs import Counter, Occupancy, StatsRegistry
-from ..sim.bulk import BulkFallback
 from .arrivals import Request
 from .policies import (BatchByDeadline, BatchBySize, FifoPolicy,
                        SchedulingPolicy, admission_depth, request_timeout)
@@ -58,6 +58,16 @@ from .core import ResilienceConfig, ServeResult, validate_run
 DepthStats = Tuple[int, int, int]
 
 
+class BulkFallback(SimulationError):
+    """The array replay cannot reproduce this run bit-identically; use
+    the DES.
+
+    Raised when a contended resource or an exactly-tied event schedule
+    makes the replay ambiguous.  Callers catch it and re-run the
+    unchanged discrete-event path; it never signals a user error.
+    """
+
+
 def simulate_service_bulk(requests: Sequence[Request], model: ServiceModel, *,
                           policy: SchedulingPolicy, cores: int,
                           offered: float = 0.0,
@@ -66,7 +76,7 @@ def simulate_service_bulk(requests: Sequence[Request], model: ServiceModel, *,
                           queue_depth: Optional[int] = None) -> ServeResult:
     """Array replay of :func:`~repro.serve.simulate.simulate_service`.
 
-    Raises :class:`~repro.sim.bulk.BulkFallback` when the run cannot be
+    Raises :class:`BulkFallback` when the run cannot be
     replayed unambiguously; callers catch it and use the DES.  Shedding,
     deadlines, walker faults, and the degraded-mode controller all make
     the schedule contended (which requests are dropped or re-served

@@ -19,9 +19,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from ..config import SystemConfig, DEFAULT_CONFIG
-from ..cpu.inorder import InOrderCore
-from ..cpu.ooo import OutOfOrderCore
-from ..cpu.timing import warm_hash_index
+from ..cpu.timing import make_core, warm_hash_index
 from ..cpu.trace import ProbeTraceGenerator
 from ..db.column import Column
 from ..db.hashtable import HashIndex
@@ -121,10 +119,7 @@ def measure_service(index: HashIndex, probe_column: Column, *,
             f"core backend {backend!r} takes no walkers/mode")
     memory = MemoryHierarchy(config)
     warm_hash_index(memory, index)
-    if backend == "ooo":
-        model = OutOfOrderCore(config.ooo, memory)
-    else:
-        model = InOrderCore(config.inorder, memory)
+    model = make_core(backend, config, memory)
     generator = ProbeTraceGenerator(index, probe_column)
     for uops in generator.stream(range(batch_keys)):
         model.execute(uops)

@@ -174,7 +174,7 @@ def simulate_service(requests: Sequence[Request], model: ServiceModel, *,
     ``bulk=True`` routes the run through the vectorized array replay
     (:mod:`repro.serve.bulk`), which produces bit-identical results and
     falls back to this discrete-event path whenever event ordering is
-    ambiguous (see :class:`~repro.sim.bulk.BulkFallback`).
+    ambiguous (see :class:`~repro.serve.bulk.BulkFallback`).
 
     ``resilience`` and ``queue_depth`` (and ``shed:``/``timeout:``
     policy wrappers) switch the run onto the resilient source/server
@@ -188,8 +188,7 @@ def simulate_service(requests: Sequence[Request], model: ServiceModel, *,
                  or request_timeout(policy) is not None
                  or (resilience is not None and resilience.active))
     if bulk:
-        from ..sim.bulk import BulkFallback
-        from .bulk import simulate_service_bulk
+        from .bulk import BulkFallback, simulate_service_bulk
         try:
             return simulate_service_bulk(requests, model, policy=policy,
                                          cores=cores, offered=offered,

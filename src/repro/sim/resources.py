@@ -84,20 +84,21 @@ class PipelinedResource:
             self._max_now = now
         self.grants.value += 1
         self.busy_cycles.value += self.service
-        if self.service == 1.0:
-            return self._request_cycle(now)
-        return self._request_interval(now)
-
-    # -- ports: exact per-cycle counting --------------------------------
-
-    def _request_cycle(self, now: float) -> float:
+        if self.service != 1.0:
+            return self._request_interval(now)
+        # Ports (every cache access comes through here): exact per-cycle
+        # counting — the first integer cycle at/after ``now`` with a
+        # free port.
         counts = self._cycle_counts
         cycle = int(now)
         if cycle < now:
             cycle += 1
-        while counts.get(cycle, 0) >= self.servers:
+        servers = self.servers
+        taken = counts.get(cycle, 0)
+        while taken >= servers:
             cycle += 1
-        counts[cycle] = counts.get(cycle, 0) + 1
+            taken = counts.get(cycle, 0)
+        counts[cycle] = taken + 1
         # Amortized pruning of cycles no request can reach anymore.
         cutoff = int(self._max_now - self._horizon)
         if self._prune_cursor < cutoff - 50_000:

@@ -60,6 +60,16 @@ def test_committed_bulk_sweep_fingerprint_matches(capsys):
     assert entry["fingerprint"] == result.fingerprint
 
 
+def test_committed_trace_core_fingerprint_matches(capsys):
+    """Same contract for the baseline-core bench: the optimized cores
+    must match the uop-by-uop reference cores, and the simulated
+    outcome must match the committed baseline."""
+    result = run_benchmarks(repeats=1, only=["trace_core_point"])[0]
+    baseline = json.load(open("BENCH_sim.json"))
+    entry = baseline["benchmarks"][result.name]
+    assert entry["fingerprint"] == result.fingerprint
+
+
 def test_check_fails_on_fingerprint_drift(tmp_path, capsys):
     result = run_benchmarks(repeats=1, only=["engine_dispatch"])[0]
     entry = result.to_dict()

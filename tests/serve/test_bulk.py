@@ -4,7 +4,7 @@
 with :func:`repro.serve.simulate.simulate_service` — every ServeResult
 field, the latency distribution snapshot and the full stats registry
 (per-core queue metrics and engine event counts included) — or a
-:class:`~repro.sim.bulk.BulkFallback` refusal, never a near miss.
+:class:`~repro.serve.bulk.BulkFallback` refusal, never a near miss.
 """
 
 import pytest
@@ -15,7 +15,7 @@ from repro.serve.bulk import simulate_service_bulk
 from repro.serve.policies import FifoPolicy, SchedulingPolicy, parse_policy
 from repro.serve.service import ServiceModel
 from repro.serve.simulate import build_requests, simulate_service
-from repro.sim.bulk import BulkFallback
+from repro.serve.bulk import BulkFallback
 
 MODEL = ServiceModel("synthetic", 8, {1: 100.0, 2: 160.0, 4: 280.0})
 

@@ -85,15 +85,6 @@ class TestMeasureOrderedIndexing:
         assert first.cycles_per_tuple == second.cycles_per_tuple
         assert first.total_cycles == second.total_cycles
 
-    def test_bulk_flag_is_bit_identical_by_construction(self):
-        index, column = build_ordered_workload("trie", "Small", PROBES)
-        kwargs = dict(index_class="trie", core="inorder",
-                      warmup_probes=32, measure_probes=64)
-        event = measure_ordered_indexing(index, column, bulk=False, **kwargs)
-        bulk = measure_ordered_indexing(index, column, bulk=True, **kwargs)
-        assert event.cycles_per_tuple == bulk.cycles_per_tuple
-        assert event.total_cycles == bulk.total_cycles
-
     def test_ooo_window_beats_inorder_on_every_class(self):
         """The paper's baseline asymmetry must survive the new traces:
         the OoO window always helps these probe streams."""
