@@ -18,8 +18,8 @@ from ..mem.hierarchy import MemoryHierarchy
 from ..obs import StatsRegistry
 from ..sim.engine import Engine
 from ..widx.machine import WidxMachine, WidxRunResult
-from ..widx.programs import (dispatcher_program, producer_program,
-                             walker_program)
+from ..widx.offload import HashProbe
+from ..widx.programs import producer_program
 
 _multicore_counter = itertools.count()
 
@@ -122,17 +122,14 @@ def run_multicore_offload(index: HashIndex, probe_column: Column, *,
     if probes < threads:
         raise WidxFault(f"need at least {threads} probes for {threads} threads")
 
-    space = index.space
-    layout = index.layout
-    key_bytes = layout.key_bytes
-    widx = config.widx
-    if widx.mode != "shared":
+    if config.widx.mode != "shared":
         raise WidxFault("the multicore driver runs the paper's shared-"
                         "dispatcher organization")
-
-    reference: List[int] = []
-    for row in range(probes):
-        reference.extend(index.probe(int(probe_column.values[row])))
+    # Each core's machine takes its dispatcher and walker registers from
+    # the single-machine hash-probe adapter, over its own chunk.
+    adapter = HashProbe(index, probe_column, config, probes)
+    reference = adapter.reference
+    space = index.space
 
     if warm:
         cmp_system.warm_all(index)
@@ -143,59 +140,50 @@ def run_multicore_offload(index: HashIndex, probe_column: Column, *,
     run_id = next(_multicore_counter)
     out_regions = []
     chunks = []
-    for core_index in range(threads):
-        first = core_index * chunk
-        count = max(0, min(chunk, probes - first))
-        chunks.append((first, count))
-        out_regions.append(space.allocate(
-            f"{index.name}:mc{run_id}:out{core_index}",
-            max(64, 8 * (count * 4 + 1)), align=64))
+    # Output buffers are scratch: release them (LIFO) however the run
+    # ends, so repeated runs on one workload space see identical address
+    # layouts.
+    try:
+        for core_index in range(threads):
+            first = core_index * chunk
+            count = max(0, min(chunk, probes - first))
+            chunks.append((first, count))
+            out_regions.append(space.allocate(
+                f"{index.name}:mc{run_id}:out{core_index}",
+                max(64, 8 * (count * 4 + 1)), align=64))
 
-    dispatcher = dispatcher_program(index.hash_spec, layout)
-    walker = walker_program(layout)
-    producer = producer_program(8)
-    mask = index.num_buckets - 1
-    base = probe_column.region.base
+        dispatcher, walker = adapter.programs()
+        producer = producer_program(8)
+        for core_index in range(threads):
+            first, count = chunks[core_index]
+            machine = WidxMachine(config, cmp_system.core(core_index),
+                                  space.memory, engine=engine)
+            machine.build(dispatcher, walker, producer)
+            machine.configure_unit(
+                "dispatcher",
+                adapter.dispatch_registers(dispatcher, first, count))
+            for unit, values in adapter.walker_registers(walker):
+                machine.configure_unit(unit, values)
+            machine.configure_unit("producer", {
+                producer.config_registers["out_cursor"]:
+                    out_regions[core_index].base,
+            })
+            machine.launch()
+            machines.append(machine)
 
-    for core_index in range(threads):
-        first, count = chunks[core_index]
-        machine = WidxMachine(config, cmp_system.core(core_index),
-                              space.memory, engine=engine)
-        machine.build(dispatcher, walker, producer)
-        machine.configure_unit("dispatcher", {
-            dispatcher.config_registers["key_cursor"]:
-                base + first * key_bytes,
-            dispatcher.config_registers["key_count"]: count,
-            dispatcher.config_registers["bucket_base"]: index.buckets.base,
-            dispatcher.config_registers["bucket_mask"]: mask,
-        })
-        if layout.indirect:
-            column_reg = walker.config_registers["column_base"]
-            for walker_index in range(widx.num_walkers):
-                machine.configure_unit(
-                    f"walker{walker_index}",
-                    {column_reg: index.key_column.region.base})
-        machine.configure_unit("producer", {
-            producer.config_registers["out_cursor"]:
-                out_regions[core_index].base,
-        })
-        machine.launch()
-        machines.append(machine)
+        engine.run()
 
-    engine.run()
-
-    per_core: Dict[int, WidxRunResult] = {}
-    payloads: List[int] = []
-    for core_index, machine in enumerate(machines):
-        result = machine.collect(chunks[core_index][1])
-        per_core[core_index] = result
-        region = out_regions[core_index]
-        payloads.extend(space.memory.read_u64(region.base + 8 * i)
-                        for i in range(result.matches))
-    # Output buffers are scratch: release them (LIFO) so repeated runs on
-    # one workload space see identical address layouts.
-    for region in reversed(out_regions):
-        space.release(region)
+        per_core: Dict[int, WidxRunResult] = {}
+        payloads: List[int] = []
+        for core_index, machine in enumerate(machines):
+            result = machine.collect(chunks[core_index][1])
+            per_core[core_index] = result
+            region = out_regions[core_index]
+            payloads.extend(space.memory.read_u64(region.base + 8 * i)
+                            for i in range(result.matches))
+    finally:
+        for region in reversed(out_regions):
+            space.release(region)
 
     validated: Optional[bool] = None
     if validate:

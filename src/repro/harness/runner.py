@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from ..config import SystemConfig, DEFAULT_CONFIG, stable_digest
 from ..cpu.ordered import measure_ordered_indexing
@@ -28,7 +28,6 @@ from ..errors import (ConfigError, InvariantViolation, MeasurementFailed,
 from ..mem.layout import AddressSpace
 from ..obs import StatsRegistry
 from ..serve.service import ServiceMeasurement, measure_service
-from ..sim.watchdog import Watchdog, WatchdogLimits
 from ..widx.offload import (OffloadOutcome, offload_batched_tree,
                             offload_probe, offload_tree_search,
                             offload_trie_search, offload_wormhole_search)
@@ -117,12 +116,6 @@ class MeasurementCache:
     counted rather than crashing a campaign — the store is an
     optimization, never a point of failure.
 
-    ``watchdog_limits`` budgets each simulated measurement (livelock,
-    cycle and wall-clock ceilings; see
-    :class:`~repro.sim.watchdog.WatchdogLimits`).  Budgets are *not* part
-    of the cache key: they bound how long a measurement may take, not what
-    it computes.
-
     Points that exhausted their campaign retries are *poisoned* via
     :meth:`poison`: asking for one raises
     :class:`~repro.errors.MeasurementFailed` immediately, so a figure
@@ -132,12 +125,10 @@ class MeasurementCache:
 
     def __init__(self, config: SystemConfig = DEFAULT_CONFIG,
                  runs: RunSettings = DEFAULT_RUNS,
-                 store: Optional[CacheStore] = None,
-                 watchdog_limits: Optional[WatchdogLimits] = None) -> None:
+                 store: Optional[CacheStore] = None) -> None:
         self.config = config
         self.runs = runs
         self.store = store
-        self.watchdog_limits = watchdog_limits
         self._kernel_workloads: Dict[str, tuple] = {}
         self._query_workloads: Dict[str, tuple] = {}
         self._ordered_workloads: Dict[str, tuple] = {}
@@ -236,74 +227,62 @@ class MeasurementCache:
                 f"measurement {point!r} failed its campaign retries and is "
                 f"poisoned: {reason}")
 
-    def _watchdog(self) -> Optional[Watchdog]:
-        if self.watchdog_limits is None:
-            return None
-        return Watchdog(self.watchdog_limits)
-
     # --- measurements (cached) ------------------------------------------
 
-    def baseline(self, kind: str, name: str, core: str) -> CoreTimingResult:
-        """Measure (or reuse) a baseline core on one workload."""
-        point = ("baseline", kind, name, core)
+    def _measure(self, point: Tuple, thunk: Callable[[], object]) -> object:
+        """The cached result for ``point``, or ``thunk()`` measured now
+        and installed (a poisoned point raises instead)."""
         result = self.fetch(point)
         if result is None:
             self._check_poisoned(point)
-            index, probes = (self.kernel_workload(name) if kind == "kernel"
-                             else self.query_workload(self._spec_by_name(name)))
-            result = measure_indexing(
+            try:
+                result = thunk()
+            except (SimulationHang, InvariantViolation) as exc:
+                if hasattr(exc, "add_note"):
+                    exc.add_note(f"while measuring point {point!r}")
+                raise
+            self.measured_points += 1
+            self.install(point, result)
+        return result
+
+    def _workload(self, kind: str, name: str):
+        """One kernel size's or DSS query's index and probe column."""
+        if kind == "kernel":
+            return self.kernel_workload(name)
+        return self.query_workload(self._spec_by_name(name))
+
+    def baseline(self, kind: str, name: str, core: str) -> CoreTimingResult:
+        """Measure (or reuse) a baseline core on one workload."""
+        def measure():
+            index, probes = self._workload(kind, name)
+            return measure_indexing(
                 index, probes, core=core, config=self.config,
                 warmup_probes=self.runs.warmup,
                 measure_probes=self.runs.measured)
-            self.measured_points += 1
-            self.install(point, result)
-        return result  # type: ignore[return-value]
+        return self._measure(("baseline", kind, name, core), measure)
 
     def widx(self, kind: str, name: str, walkers: int,
              mode: str = "shared") -> OffloadOutcome:
         """Measure (or reuse) a Widx offload on one workload."""
-        point = ("widx", kind, name, walkers, mode)
-        result = self.fetch(point)
-        if result is None:
-            self._check_poisoned(point)
-            index, probes = (self.kernel_workload(name) if kind == "kernel"
-                             else self.query_workload(self._spec_by_name(name)))
+        def measure():
+            index, probes = self._workload(kind, name)
             config = self.config.with_widx(num_walkers=walkers, mode=mode)
-            try:
-                result = offload_probe(
-                    index, probes, config=config, probes=self.runs.probes,
-                    watchdog=self._watchdog())
-            except (SimulationHang, InvariantViolation) as exc:
-                if hasattr(exc, "add_note"):
-                    exc.add_note(f"while measuring point {point!r}")
-                raise
-            self.measured_points += 1
-            self.install(point, result)
-        return result  # type: ignore[return-value]
+            return offload_probe(index, probes, config=config,
+                                 probes=self.runs.probes)
+        return self._measure(("widx", kind, name, walkers, mode), measure)
 
     def pim(self, kind: str, name: str, walkers: int, banks: int,
             mode: str = "shared") -> OffloadOutcome:
         """Measure (or reuse) a near-memory (bank-side walker) offload."""
-        point = ("pim", kind, name, walkers, mode, banks)
-        result = self.fetch(point)
-        if result is None:
-            self._check_poisoned(point)
-            index, probes = (self.kernel_workload(name) if kind == "kernel"
-                             else self.query_workload(self._spec_by_name(name)))
+        def measure():
+            index, probes = self._workload(kind, name)
             config = self.config.with_widx(
                 num_walkers=walkers, mode=mode,
                 placement="pim").with_pim(num_banks=banks)
-            try:
-                result = offload_probe(
-                    index, probes, config=config, probes=self.runs.probes,
-                    watchdog=self._watchdog())
-            except (SimulationHang, InvariantViolation) as exc:
-                if hasattr(exc, "add_note"):
-                    exc.add_note(f"while measuring point {point!r}")
-                raise
-            self.measured_points += 1
-            self.install(point, result)
-        return result  # type: ignore[return-value]
+            return offload_probe(index, probes, config=config,
+                                 probes=self.runs.probes)
+        return self._measure(("pim", kind, name, walkers, mode, banks),
+                             measure)
 
     def index(self, name: str, core: str, walkers: int = 0,
               mode: str = "") -> object:
@@ -314,68 +293,50 @@ class MeasurementCache:
         :class:`CoreTimingResult`) or ``"widx"`` (returning an
         :class:`OffloadOutcome` from the class's offload driver).
         """
-        point = ("index", "ordered", name, core, walkers, mode)
-        result = self.fetch(point)
-        if result is None:
-            self._check_poisoned(point)
+        def measure():
             index_class, _, _size = name.partition(":")
             index, probes = self.ordered_workload(name)
             if core in ("ooo", "inorder"):
-                result = measure_ordered_indexing(
+                return measure_ordered_indexing(
                     index, probes, index_class=index_class, core=core,
                     config=self.config, warmup_probes=self.runs.warmup,
                     measure_probes=self.runs.measured)
-            elif core == "widx":
+            if core == "widx":
                 config = self.config.with_widx(
                     num_walkers=walkers, mode=mode or "shared")
+                # Looked up per call, not in a module-level table, so a
+                # wrapper installed on this module's names takes effect.
                 offload = {"btree": offload_tree_search,
                            "trie": offload_trie_search,
                            "wormhole": offload_wormhole_search,
                            "batched": offload_batched_tree}[index_class]
-                try:
-                    result = offload(index, probes, config=config,
-                                     probes=self.runs.probes)
-                except (SimulationHang, InvariantViolation) as exc:
-                    if hasattr(exc, "add_note"):
-                        exc.add_note(f"while measuring point {point!r}")
-                    raise
-            else:
-                raise ConfigError(
-                    f"unknown ordered-index core {core!r} "
-                    f"(want 'ooo', 'inorder' or 'widx')")
-            self.measured_points += 1
-            self.install(point, result)
-        return result
+                return offload(index, probes, config=config,
+                               probes=self.runs.probes)
+            raise ConfigError(
+                f"unknown ordered-index core {core!r} "
+                f"(want 'ooo', 'inorder' or 'widx')")
+        return self._measure(("index", "ordered", name, core, walkers, mode),
+                             measure)
 
     def service(self, kind: str, name: str, backend: str, batch_keys: int,
                 walkers: int = 0, mode: str = "") -> ServiceMeasurement:
         """Measure (or reuse) one serving-layer service-time calibration:
         the cycles ``backend`` spends serving a ``batch_keys``-key probe
         batch on one workload (see :mod:`repro.serve.service`)."""
-        point = ("serve", kind, name, backend, walkers, mode, batch_keys)
-        result = self.fetch(point)
-        if result is None:
-            self._check_poisoned(point)
-            if kind == "kernel":
-                index, probes = self.kernel_workload(name)
-            elif kind == "ordered":
+        def measure():
+            if kind == "ordered":
                 index, probes = self.ordered_workload(name)
             else:
-                index, probes = self.query_workload(self._spec_by_name(name))
-            try:
-                result = measure_service(
-                    index, probes, backend=backend, batch_keys=batch_keys,
-                    config=self.config, walkers=walkers, mode=mode,
-                    watchdog=self._watchdog())
-            except (SimulationHang, InvariantViolation) as exc:
-                if hasattr(exc, "add_note"):
-                    exc.add_note(f"while measuring point {point!r}")
-                raise
+                index, probes = self._workload(kind, name)
+            result = measure_service(
+                index, probes, backend=backend, batch_keys=batch_keys,
+                config=self.config, walkers=walkers, mode=mode)
             result.kind = kind
             result.name = name
-            self.measured_points += 1
-            self.install(point, result)
-        return result  # type: ignore[return-value]
+            return result
+        return self._measure(
+            ("serve", kind, name, backend, walkers, mode, batch_keys),
+            measure)
 
     def merged_stats(self) -> StatsRegistry:
         """One registry merging every cached measurement's stats snapshot.

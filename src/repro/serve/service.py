@@ -26,7 +26,6 @@ from ..db.hashtable import HashIndex
 from ..errors import ServeError
 from ..mem.hierarchy import MemoryHierarchy
 from ..obs import StatsRegistry
-from ..sim.watchdog import Watchdog
 from ..widx.offload import offload_batched_tree, offload_probe
 
 #: Backends a service model can be calibrated for.
@@ -55,8 +54,7 @@ class ServiceMeasurement:
 def measure_service(index: HashIndex, probe_column: Column, *,
                     backend: str, batch_keys: int,
                     config: SystemConfig = DEFAULT_CONFIG,
-                    walkers: int = 0, mode: str = "",
-                    watchdog: Optional[Watchdog] = None
+                    walkers: int = 0, mode: str = ""
                     ) -> ServiceMeasurement:
     """Measure the service time of one probe batch on one backend.
 
@@ -103,7 +101,7 @@ def measure_service(index: HashIndex, probe_column: Column, *,
             num_walkers=walkers, mode=mode or "shared",
             placement="pim" if backend == "pim" else config.widx.placement)
         outcome = offload_probe(index, probe_column, config=widx_config,
-                                probes=batch_keys, watchdog=watchdog)
+                                probes=batch_keys)
         return ServiceMeasurement(
             backend=backend, kind="", name="", walkers=walkers,
             mode=mode or "shared", batch_keys=batch_keys,

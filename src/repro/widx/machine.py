@@ -339,16 +339,15 @@ class WidxMachine:
         )
 
     def run(self, expected_tuples: int,
-            watchdog: Optional[Watchdog] = None,
             sanitize: bool = True,
             faults: Iterable[UnitFault] = ()) -> WidxRunResult:
         """Run the offload to completion; returns timing and stats.
 
-        A :class:`~repro.sim.watchdog.Watchdog` (a default-limits one
-        unless provided) polices livelock and budget overruns during the
-        run; afterwards the end-of-run sanitizer verifies the engine
-        drained, every inter-unit queue emptied, and no MSHR/TLB pool
-        leaked — so a wedged run raises instead of reporting garbage.
+        A default-limits :class:`~repro.sim.watchdog.Watchdog` (unless
+        the engine already has one) polices livelock and budget overruns
+        during the run; afterwards the end-of-run sanitizer verifies the
+        engine drained, every inter-unit queue emptied, and no MSHR/TLB
+        pool leaked — so a wedged run raises instead of reporting garbage.
 
         ``faults`` injects :class:`UnitFault` events mid-run.  A
         survivable fault (shared-mode walker death with survivors)
@@ -361,9 +360,7 @@ class WidxMachine:
         faults = tuple(faults)
         if faults:
             self._arm_faults(faults)
-        if watchdog is not None:
-            watchdog.attach(self.engine)
-        elif self.engine.watchdog is None:
+        if self.engine.watchdog is None:
             Watchdog().attach(self.engine)
         self.engine.run()
         if self._fault_abort is not None:
